@@ -3,7 +3,7 @@ and a self-verification harness.  Every command renders as aligned text,
 csv, or a single json document, deterministically.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 enumeration over the configured size cap.
+3 work over a size cap, refused before it starts.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def _parse_color_vector(text: str, flag: str) -> tuple[int, ...]:
     values = []
     for piece in text.split(","):
         piece = piece.strip()
-        if not piece.isdigit():
+        if not frames.ASCII_DIGITS.fullmatch(piece):
             raise ValueError(f"bad color count {piece!r} in {flag}")
         values.append(int(piece))
     return tuple(values)
@@ -142,10 +142,23 @@ def _ones(size: int) -> tuple[int, ...]:
     return (1,) * size
 
 
+def _bound_count(args: argparse.Namespace, work: int, cap: int, unit: str,
+                 allow_large: bool) -> None:
+    """Refuse a count over its cap before any of the work starts."""
+    if work > cap and not allow_large:
+        raise ResourceLimit(
+            f"count {args.kind} --n {args.n}: {unit} {work} exceeds the cap of {cap}"
+        )
+
+
+def _bound_transfer(args: argparse.Namespace, steps: int, allow_large: bool) -> None:
+    cells = counting.transfer_cells(steps)
+    _bound_count(args, cells, counting.TRANSFER_CELL_CAP, "DP cells", allow_large)
+
+
 def cmd_count(args: argparse.Namespace, allow_large: bool) -> int:
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
-    cap = None if allow_large else frames.FRAME_ENUMERATION_CAP
     doc: dict = {"command": "count", "kind": args.kind, "n": args.n}
     if args.kind == "dyck":
         if args.k is not None:
@@ -153,12 +166,14 @@ def cmd_count(args: argparse.Namespace, allow_large: bool) -> int:
         if args.colors_h is not None:
             raise ValueError("horizontal colors do not apply to kind dyck")
         if args.colors_u is None and args.colors_d is None:
+            _bound_count(args, args.n, counting.CATALAN_CAP, "half-length", allow_large)
             value = counting.catalan(args.n)
         else:
+            _bound_transfer(args, 2 * args.n, allow_large)
             u = _parse_color_vector(args.colors_u, "--colors-u") if args.colors_u else _ones(args.n)
             d = _parse_color_vector(args.colors_d, "--colors-d") if args.colors_d else _ones(args.n)
             doc["colors"] = {"u": list(u), "d": list(d)}
-            value = counting.count_colored_dyck(args.n, counting.ColorSpec(u=u, d=d), cap=cap)
+            value = counting.count_colored_dyck(args.n, counting.ColorSpec(u=u, d=d))
     elif args.kind == "k-motzkin":
         if args.k is None:
             raise ValueError("kind k-motzkin requires --k")
@@ -168,11 +183,12 @@ def cmd_count(args: argparse.Namespace, allow_large: bool) -> int:
             raise ValueError("up/down colors do not apply to kind k-motzkin")
         r = 1
         if args.colors_h is not None:
-            if not args.colors_h.strip().isdigit():
+            if not frames.ASCII_DIGITS.fullmatch(args.colors_h.strip()):
                 raise ValueError("k-motzkin takes a single horizontal color count")
             r = int(args.colors_h)
             if r < 1:
                 raise ValueError("horizontal color count must be at least 1")
+        _bound_transfer(args, args.n, allow_large)
         doc["k"] = args.k
         if r != 1:
             doc["colors"] = {"h": r}
@@ -180,8 +196,9 @@ def cmd_count(args: argparse.Namespace, allow_large: bool) -> int:
     else:  # motzkin
         if args.k is not None:
             raise ValueError("--k only applies to kind k-motzkin")
+        _bound_transfer(args, args.n, allow_large)
         if args.colors_h is None and args.colors_u is None and args.colors_d is None:
-            value = counting.count_motzkin(args.n, cap=cap)
+            value = counting.count_motzkin(args.n)
         else:
             levels = args.n // 2
             h = _parse_color_vector(args.colors_h, "--colors-h") if args.colors_h else _ones(levels + 1)
@@ -189,7 +206,7 @@ def cmd_count(args: argparse.Namespace, allow_large: bool) -> int:
             d = _parse_color_vector(args.colors_d, "--colors-d") if args.colors_d else _ones(levels)
             doc["colors"] = {"h": list(h), "u": list(u), "d": list(d)}
             spec = counting.ColorSpec(h=h, u=u, d=d)
-            value = counting.count_colored_motzkin(args.n, spec, cap=cap)
+            value = counting.count_colored_motzkin(args.n, spec)
     doc["count"] = value
     if args.format == "json":
         print(json.dumps(doc))
@@ -400,7 +417,7 @@ def run_verification(max_n: int, allow_large: bool = False) -> VerifyReport:
 
     for n in range(min(max_n, 12) + 1):
         oracle = sum(1 for _ in paths.enumerate_motzkin(n, cap=motz_cap))
-        add("motzkin_oracle", f"n={n}", oracle, counting.count_motzkin(n, cap=frame_cap))
+        add("motzkin_oracle", f"n={n}", oracle, counting.count_motzkin(n))
     top_k = min(5, max_n)
     for n in range(min(max_n, 10) + 1):
         bad = 0
@@ -414,19 +431,48 @@ def run_verification(max_n: int, allow_large: bool = False) -> VerifyReport:
     bad_dyck = sum(
         1
         for n in range(max_n + 1)
-        if counting.count_colored_dyck(n, counting.ColorSpec(u=ones, d=ones), cap=frame_cap)
+        if counting.count_colored_dyck(n, counting.ColorSpec(u=ones, d=ones))
         != counting.catalan(n)
     )
     add("colored_dyck_reduction", f"n<={max_n}", 0, bad_dyck)
     bad_motzkin = sum(
         1
         for n in range(max_n + 1)
-        if counting.count_colored_motzkin(
-            n, counting.ColorSpec(h=ones, u=ones, d=ones), cap=frame_cap
-        )
-        != counting.count_motzkin(n, cap=frame_cap)
+        if counting.count_colored_motzkin(n, counting.ColorSpec(h=ones, u=ones, d=ones))
+        != counting.count_motzkin(n)
     )
     add("colored_motzkin_reduction", f"n<={max_n}", 0, bad_motzkin)
+
+    # The transfer DP serves the counts; the frame sum and the foot table
+    # are the paper's routes to the same numbers.  Colors include zeros.
+    size = max_n + 1
+    spec = counting.ColorSpec(
+        h=tuple((k + 2) % 4 for k in range(size)),
+        u=tuple(k % 3 + 1 for k in range(size)),
+        d=tuple((k + 1) % 2 + 1 for k in range(size)),
+    )
+    no_flats = counting.ColorSpec(h=(0,) * size, u=spec.u, d=spec.d)
+    bad_dyck = sum(
+        1
+        for n in range(max_n + 1)
+        if counting.count_colored_dyck(n, spec)
+        != counting.count_by_frames(2 * n, no_flats, cap=frame_cap)
+    )
+    add("colored_dyck_frame_sum", f"n<={max_n}", 0, bad_dyck)
+    bad_motzkin = sum(
+        1
+        for n in range(max_n + 1)
+        if counting.count_colored_motzkin(n, spec)
+        != counting.count_by_frames(n, spec, cap=frame_cap)
+    )
+    add("colored_motzkin_frame_sum", f"n<={max_n}", 0, bad_motzkin)
+    bad_k = sum(
+        1
+        for n in range(max_n + 1)
+        for k in range(top_k + 1)
+        if counting.count_k_motzkin(n, k, 2) != counting.count_k_motzkin_by_feet(n, k, 2)
+    )
+    add("k_motzkin_foot_table", f"n<={max_n} k<={top_k}", 0, bad_k)
 
     entries = min(max_n, 6)
     entry_sum = min(2 * max_n + 1, 17)
@@ -562,6 +608,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         ALLOW_LARGE_ENV, ""
     ).strip().lower() in ("1", "true", "yes")
     handler: Callable[[argparse.Namespace, bool], int] = args.handler
+    # Exact counts can pass the 4300-digit limit on int-to-str conversion,
+    # which print and json.dumps both obey; lift it while the command runs.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return handler(args, allow_large)
     except ResourceLimit as exc:
@@ -570,6 +621,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DyckFramesError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

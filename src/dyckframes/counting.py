@@ -1,22 +1,34 @@
 """Exact counting: foot tables, frame cardinalities, and path counts.
 
 Everything returns plain Python integers, so results stay exact at any
-magnitude.  The closed formulas here are the fast route; the enumerators
-in the paths module are the slow route the tests compare them against.
+magnitude.  Path counts are served by a transfer DP over levels; the
+paper's sums over frames and over foot tables stay here as the second
+route, and the enumerators in the paths module are the brute-force
+route the tests compare both against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice, zip_longest
+from operator import mul
 from typing import Iterator, Sequence
 
+from .errors import ResourceLimit
 from .frames import (
     FRAME_ENUMERATION_CAP,
     Frame,
     ensure_frame,
     enumerate_frames,
 )
+
+# Size caps the command line applies before a count starts.  The transfer
+# DP cap is in level-by-step cells, which is count_motzkin(2000) or
+# count_colored_dyck(1000), each well under a second; the Catalan cap is
+# a half-length whose number prints in about a tenth of a second.
+TRANSFER_CELL_CAP = 2_000_000
+CATALAN_CAP = 30_000
 
 
 def binomial(top: int, bottom: int) -> int:
@@ -34,13 +46,10 @@ def binomial(top: int, bottom: int) -> int:
 
 
 def catalan(n: int) -> int:
-    """The n-th Catalan number, computed by the lift-and-glue recursion."""
+    """The n-th Catalan number, binomial(2n, n) / (n + 1)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    values = [1]
-    for m in range(1, n + 1):
-        values.append(sum(values[m - 1 - k] * values[k] for k in range(m)))
-    return values[n]
+    return math.comb(2 * n, n) // (n + 1)
 
 
 class FootTable:
@@ -88,16 +97,16 @@ class FootTable:
         for _s in range(1, max_level + 1):
             rows = [[1]]
             for n in range(1, max_half_length + 1):
+                # A path U P D Q, with P of half-length i, has P's feet one
+                # level down plus Q's feet here: a product of polynomials
+                # in the foot count, whose degree never exceeds n.
                 row = [0] * (n + 1)
-                for j in range(n + 1):
-                    acc = 0
-                    for i in range(n):
-                        left = below[i]
-                        right = rows[n - 1 - i]
-                        for k in range(min(j, len(left) - 1) + 1):
-                            if j - k < len(right):
-                                acc += left[k] * right[j - k]
-                    row[j] = acc
+                for i in range(n):
+                    right = rows[n - 1 - i]
+                    for k, left in enumerate(below[i]):
+                        if left:
+                            for m, ways in enumerate(right):
+                                row[k + m] += left * ways
                 rows.append(row)
             upper.append(rows)
             below = rows
@@ -202,37 +211,158 @@ def _require_entries(vec: tuple[int, ...], size: int, name: str) -> None:
         raise ValueError(f"{name} needs at least {size} entries, got {len(vec)}")
 
 
-def count_colored_dyck(
-    n: int, colors: ColorSpec, cap: int | None = FRAME_ENUMERATION_CAP
-) -> int:
+def transfer_cells(steps: int) -> int:
+    """Cells the transfer DP visits for paths of the given length, at most."""
+    return steps * (steps // 2 + 1)
+
+
+def _transfer_count(steps: int, h: Sequence[int], w: Sequence[int]) -> int:
+    """Weighted paths of the given length from level 0 back to level 0.
+
+    A flat step at level k weighs h[k], and a rise from level k together
+    with the fall that closes it weighs w[k]; these are the Jacobi
+    continued-fraction weights of the path generating function (Flajolet
+    1980), with w[k] = u[k] * d[k] for colored steps.  row[k] holds the
+    weight of the prefixes that end at level k, kept only for levels from
+    which level 0 is still reachable.  h needs steps // 2 + 1 entries
+    and w needs steps // 2.
+    """
+    row = [1]
+    for step in range(1, steps + 1):
+        top = min(step, steps - step)
+        rise = [0, *map(mul, row, w)]
+        flat = map(mul, row, h)
+        fall = islice(row, 1, None)
+        arrivals = zip_longest(rise, flat, fall, fillvalue=0)
+        row = [a + b + c for a, b, c in islice(arrivals, top + 1)]
+    return row[0]
+
+
+def _gap_weights(colors: ColorSpec, gaps: int) -> list[int]:
+    return [colors.u[k] * colors.d[k] for k in range(gaps)]
+
+
+def count_colored_dyck(n: int, colors: ColorSpec) -> int:
     """Dyck paths of length 2n with colored up and down steps.
 
-    Every path of a frame uses the same number of up steps per gap, so
-    the count is the sum over frames of the class size times the color
-    choices, (u[k] * d[k]) ** v[k] across the gaps.  Horizontal colors
-    are ignored.  All-ones colors reduce this to the Catalan number.
+    A rise across gap k and the fall that closes it contribute
+    u[k] * d[k] choices.  Horizontal colors are ignored.  All-ones colors
+    reduce this to the Catalan number; count_by_frames is the second
+    route.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     _require_entries(colors.u, n, "colors.u")
     _require_entries(colors.d, n, "colors.d")
-    total = 0
-    for frame in enumerate_frames(n, cap=cap):
-        weight = frame_cardinality(frame)
-        for k, ups in enumerate(up_steps_per_level(frame)):
-            weight *= (colors.u[k] * colors.d[k]) ** ups
-        total += weight
-    return total
+    return _transfer_count(2 * n, (0,) * (n + 1), _gap_weights(colors, n))
 
 
 def count_k_motzkin(n: int, k: int, r: int = 1) -> int:
     """Motzkin paths of length n with horizontal steps only at level k.
 
-    Such a path is a Dyck path of length 2j plus n - 2j horizontal steps
-    distributed over its feet at level k, giving a binomial factor per
-    foot census entry; r colors per horizontal step contribute
-    r ** (n - 2j).  The 0-footed census entry still counts the bare Dyck
-    paths when n == 2j, via binomial(-1, 0) == 1.
+    Each horizontal step has r colors.  A level k above n // 2 admits no
+    horizontal step, which leaves the Dyck paths of length n.
+    count_k_motzkin_by_feet is the second route.
+    """
+    if n < 0 or k < 0:
+        raise ValueError("n and k must be nonnegative")
+    if r < 1:
+        raise ValueError("r must be at least 1")
+    levels = n // 2
+    h = [0] * (levels + 1)
+    if k <= levels:
+        h[k] = r
+    return _transfer_count(n, h, (1,) * levels)
+
+
+def count_motzkin(n: int) -> int:
+    """The n-th Motzkin number: paths weighted 1 on every step."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return _transfer_count(n, (1,) * (n // 2 + 1), (1,) * (n // 2))
+
+
+def count_colored_motzkin(n: int, colors: ColorSpec) -> int:
+    """Motzkin paths of length n colored per ColorSpec, exactly.
+
+    A horizontal step at level k has h[k] colors, and a rise across gap
+    k with the fall that closes it has u[k] * d[k]; zero colors forbid
+    the step.  count_by_frames is the second route.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    levels = n // 2
+    _require_entries(colors.h, levels + 1, "colors.h")
+    _require_entries(colors.u, levels, "colors.u")
+    _require_entries(colors.d, levels, "colors.d")
+    return _transfer_count(n, colors.h[: levels + 1], _gap_weights(colors, levels))
+
+
+def _frame_weight(frame: Frame, colors: ColorSpec) -> int:
+    """Class size of the frame times its up and down color choices.
+
+    Every path of a frame uses the same number v[k] of up steps per gap,
+    so each contributes (u[k] * d[k]) ** v[k] choices across the gaps.
+    """
+    weight = frame_cardinality(frame)
+    for k, ups in enumerate(up_steps_per_level(frame)):
+        weight *= (colors.u[k] * colors.d[k]) ** ups
+    return weight
+
+
+def count_by_frames(
+    n: int, colors: ColorSpec, cap: int | None = FRAME_ENUMERATION_CAP
+) -> int:
+    """Colored Motzkin paths of length n, summed over frames.
+
+    The paper's route, kept as the oracle for the transfer DP.  Sums
+    over the frame of the underlying Dyck path: the class size, the
+    up/down color choices per gap, and for each weak composition of the
+    n - 2j horizontal steps over levels 0..n//2 a binomial factor for
+    placing them among that level's feet times h[t] ** k[t] color
+    choices.  A level with no feet admits no horizontal steps, and
+    0 ** 0 == 1 keeps levels with zero colors but zero steps neutral.
+    With h all zero only the frames of length n contribute, so this
+    also counts colored Dyck paths of length n.  Frames of half-length
+    above cap raise ResourceLimit before any is enumerated.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    levels = n // 2
+    _require_entries(colors.h, levels + 1, "colors.h")
+    _require_entries(colors.u, levels, "colors.u")
+    _require_entries(colors.d, levels, "colors.d")
+    if cap is not None and levels > cap:
+        raise ResourceLimit(f"frame sum at size {levels} exceeds the cap of {cap}")
+    total = 0
+    for j in range(levels + 1):
+        flat = n - 2 * j
+        if flat and not any(colors.h[: levels + 1]):
+            continue
+        compositions = list(weak_compositions(flat, levels + 1))
+        for frame in enumerate_frames(j, cap=None):
+            placements = 0
+            for parts in compositions:
+                term = 1
+                for t, spread in enumerate(parts):
+                    term *= binomial(spread + frame.foot_count(t) - 1, spread)
+                    if term == 0:
+                        break
+                    term *= colors.h[t] ** spread
+                placements += term
+            total += _frame_weight(frame, colors) * placements
+    return total
+
+
+def count_k_motzkin_by_feet(n: int, k: int, r: int = 1) -> int:
+    """Level-k Motzkin paths of length n from the foot table.
+
+    The oracle for count_k_motzkin.  Such a path is a Dyck path of
+    length 2j plus n - 2j horizontal steps distributed over its feet at
+    level k, giving a binomial factor per foot census entry; r colors
+    per horizontal step contribute r ** (n - 2j).  The 0-footed census
+    entry still counts the bare Dyck paths when n == 2j, via
+    binomial(-1, 0) == 1.
     """
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
@@ -248,61 +378,6 @@ def count_k_motzkin(n: int, k: int, r: int = 1) -> int:
             paths_ji = table.count(j, k, i)
             if paths_ji:
                 total += paths_ji * binomial(flat + i - 1, flat) * r**flat
-    return total
-
-
-def count_motzkin(n: int, cap: int | None = FRAME_ENUMERATION_CAP) -> int:
-    """The n-th Motzkin number, via the frame decomposition.
-
-    A Motzkin path is a Dyck path of length 2j with n - 2j horizontal
-    steps distributed over its 2j + 1 nodes, hence binomial(n, n - 2j)
-    arrangements for each underlying path.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    total = 0
-    for j in range(n // 2 + 1):
-        layer = sum(frame_cardinality(fr) for fr in enumerate_frames(j, cap=cap))
-        total += layer * binomial(n, n - 2 * j)
-    return total
-
-
-def count_colored_motzkin(
-    n: int, colors: ColorSpec, cap: int | None = FRAME_ENUMERATION_CAP
-) -> int:
-    """Motzkin paths of length n colored per ColorSpec, exactly.
-
-    Sums over the frame of the underlying Dyck path: the class size,
-    the up/down color choices per gap, and for each weak composition of
-    the n - 2j horizontal steps over levels 0..n//2 a binomial factor
-    for placing them among that level's feet times h[t] ** k[t] color
-    choices.  A level with no feet admits no horizontal steps, and
-    0 ** 0 == 1 keeps levels with zero colors but zero steps neutral.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    levels = n // 2
-    _require_entries(colors.h, levels + 1, "colors.h")
-    _require_entries(colors.u, levels, "colors.u")
-    _require_entries(colors.d, levels, "colors.d")
-    total = 0
-    for j in range(levels + 1):
-        flat = n - 2 * j
-        compositions = list(weak_compositions(flat, levels + 1))
-        for frame in enumerate_frames(j, cap=cap):
-            weight = frame_cardinality(frame)
-            for k, ups in enumerate(up_steps_per_level(frame)):
-                weight *= (colors.u[k] * colors.d[k]) ** ups
-            placements = 0
-            for parts in compositions:
-                term = 1
-                for t, spread in enumerate(parts):
-                    term *= binomial(spread + frame.foot_count(t) - 1, spread)
-                    if term == 0:
-                        break
-                    term *= colors.h[t] ** spread
-                placements += term
-            total += weight * placements
     return total
 
 

@@ -13,6 +13,7 @@ any admissible frame.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -21,6 +22,10 @@ from .errors import NotAdmissible, NotDyck, NotLifted, ResourceLimit, Underflow
 from .paths import Path, parse_path
 
 FRAME_ENUMERATION_CAP = 20
+
+# Entries of frames and color vectors on the command line.  str.isdigit
+# would also accept non-ASCII digits such as '٣' and '²'.
+ASCII_DIGITS = re.compile("[0-9]+")
 
 # A raw sequence is any finite tuple of nonnegative ints, trailing zeros
 # trimmed; admissibility is a property to be decided, not assumed.
@@ -206,7 +211,7 @@ def parse_frame_text(text: str) -> RawSequence:
     values = []
     for piece in text.split(","):
         piece = piece.strip()
-        if not piece.isdigit():
+        if not ASCII_DIGITS.fullmatch(piece):
             raise ValueError(f"bad frame entry {piece!r} in {text!r}")
         values.append(int(piece))
     return trim(values)

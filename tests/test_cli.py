@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
 import os
+import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -157,6 +160,66 @@ class TestCount:
         code, _ = run(capsys, "count", "dyck", "--n", "4", "--colors-u", "2")
         assert code == 2
 
+    def test_motzkin_past_the_frame_cap(self, capsys):
+        motzkin = [1, 1]
+        for n in range(2, 43):
+            motzkin.append(((2 * n + 1) * motzkin[-1] + (3 * n - 3) * motzkin[-2]) // (n + 2))
+        code, out = run(capsys, "count", "motzkin", "--n", "42", "--format", "csv")
+        assert (code, out) == (0, f"{motzkin[42]}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dyck", "--n", "1000000"),
+            ("dyck", "--n", "5000", "--colors-u", "2"),
+            ("motzkin", "--n", "100000"),
+            ("motzkin", "--n", "5000", "--colors-h", "2"),
+            ("k-motzkin", "--n", "100000", "--k", "3"),
+        ],
+    )
+    def test_over_bound_is_refused_up_front(self, capsys, argv):
+        start = time.perf_counter()
+        code, out = run(capsys, "count", *argv)
+        assert code == 3 and out == ""
+        assert time.perf_counter() - start < 0.5
+
+    def test_allow_large_lifts_the_count_bounds(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.counting, "TRANSFER_CELL_CAP", 10)
+        monkeypatch.setattr(cli.counting, "CATALAN_CAP", 2)
+        assert run(capsys, "count", "motzkin", "--n", "6")[0] == 3
+        assert run(capsys, "count", "dyck", "--n", "3")[0] == 3
+        assert run(capsys, "count", "motzkin", "--n", "6", "--allow-large") == (0, "51\n")
+        assert run(capsys, "count", "dyck", "--n", "3", "--allow-large") == (0, "5\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_counts_print_past_the_int_digit_limit(self, capsys, fmt):
+        saved = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            code, out = run(capsys, "count", "dyck", "--n", "8000", "--format", fmt)
+            assert code == 0
+            assert sys.get_int_max_str_digits() == 4300
+            sys.set_int_max_str_digits(0)
+            value = int(out) if fmt == "csv" else json.loads(out)["count"]
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert value == math.comb(16000, 8000) // 8001
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("frame", "3,\u0663"), "bad frame entry"),
+            (("frame", "\u00b2,1"), "bad frame entry"),
+            (("count", "dyck", "--n", "2", "--colors-u", "2,\u0663"), "bad color count"),
+            (("count", "motzkin", "--n", "2", "--colors-h", "\u00b2,1"), "bad color count"),
+            (("count", "k-motzkin", "--n", "2", "--k", "0", "--colors-h", "\u0663"),
+             "single horizontal color count"),
+        ],
+    )
+    def test_non_ascii_digits_are_usage_errors(self, capsys, argv, message):
+        assert main(list(argv)) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestEnumerate:
     def test_dyck_order(self, capsys):
@@ -250,7 +313,24 @@ class TestVerify:
             "k_motzkin_oracle",
             "decider_agreement",
             "binomial_identity",
+            "colored_dyck_frame_sum",
+            "colored_motzkin_frame_sum",
+            "k_motzkin_foot_table",
         } <= names
+
+    @pytest.mark.parametrize(
+        "oracle, checks",
+        [
+            ("count_by_frames", {"colored_dyck_frame_sum", "colored_motzkin_frame_sum"}),
+            ("count_k_motzkin_by_feet", {"k_motzkin_foot_table"}),
+        ],
+    )
+    def test_route_checks_use_the_second_route(self, capsys, monkeypatch, oracle, checks):
+        original = getattr(cli.counting, oracle)
+        monkeypatch.setattr(cli.counting, oracle, lambda *a, **kw: original(*a, **kw) + 1)
+        code, out = run(capsys, "verify", "--max-n", "3", "--format", "json")
+        assert code == 1
+        assert {c["name"] for c in json.loads(out)["checks"] if not c["pass"]} == checks
 
     def test_injected_fault_fails(self, capsys, monkeypatch):
         original = cli.counting.catalan

@@ -13,8 +13,10 @@ from collections import Counter
 import pytest
 
 from dyckframes import (
+    FRAME_ENUMERATION_CAP,
     ColorSpec,
     NotAdmissible,
+    ResourceLimit,
     binomial,
     binomial_identity_check,
     catalan,
@@ -33,6 +35,7 @@ from dyckframes import (
     up_steps_per_level,
     weak_compositions,
 )
+from dyckframes.counting import count_by_frames, count_k_motzkin_by_feet
 
 # the reference triangle: rows 0..12 steps, columns 1-ped..6-ped
 LEVEL0_TRIANGLE = [
@@ -267,6 +270,12 @@ class TestKMotzkin:
                 oracle = sum(1 for _ in enumerate_motzkin(n, {k}))
                 assert count_k_motzkin(n, k) == oracle
 
+    def test_matches_foot_table_route(self):
+        for n in range(41):
+            for k in range(5):
+                for r in (1, 3):
+                    assert count_k_motzkin(n, k, r) == count_k_motzkin_by_feet(n, k, r)
+
     def test_colored_matches_weighted_oracle(self):
         for n in range(7):
             for k in range(3):
@@ -290,6 +299,12 @@ class TestMotzkin:
     def test_matches_oracle(self):
         for n in range(11):
             assert count_motzkin(n) == sum(1 for _ in enumerate_motzkin(n))
+
+    def test_three_term_recurrence(self):
+        # (n + 2) M(n) = (2n + 1) M(n-1) + (3n - 3) M(n-2)
+        values = [count_motzkin(n) for n in range(301)]
+        for n in range(2, 301):
+            assert (n + 2) * values[n] == (2 * n + 1) * values[n - 1] + (3 * n - 3) * values[n - 2]
 
 
 class TestColoredMotzkin:
@@ -333,6 +348,26 @@ class TestColoredMotzkin:
     def test_negative_colors_rejected(self):
         with pytest.raises(ValueError):
             ColorSpec(h=(-1,))
+
+
+class TestFrameSum:
+    def test_all_ones_is_motzkin(self):
+        for n in range(11):
+            levels = n // 2
+            spec = ColorSpec(h=(1,) * (levels + 1), u=(1,) * levels, d=(1,) * levels)
+            assert count_by_frames(n, spec) == count_motzkin(n)
+
+    def test_no_flats_is_catalan(self):
+        for n in range(9):
+            spec = ColorSpec(h=(0,) * (n + 1), u=(1,) * n, d=(1,) * n)
+            assert count_by_frames(2 * n, spec) == catalan(n)
+            assert count_by_frames(2 * n + 1, spec) == 0
+
+    def test_cap_checked_before_any_frame(self):
+        n = 2 * (FRAME_ENUMERATION_CAP + 1)
+        spec = ColorSpec(h=(1,) * (n // 2 + 1), u=(1,) * n, d=(1,) * n)
+        with pytest.raises(ResourceLimit):
+            count_by_frames(n, spec)
 
 
 class TestWeakCompositions:

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyckframes import (
+    ColorSpec,
     Frame,
+    count_colored_dyck,
+    count_colored_motzkin,
     extend_frame,
     frame_length,
     frame_of,
@@ -22,6 +25,7 @@ from dyckframes import (
     unextend,
     unlift,
 )
+from dyckframes.counting import count_by_frames
 
 raw_sequences = st.lists(st.integers(0, 9), max_size=8).map(tuple)
 nonempty_raw = raw_sequences.filter(lambda seq: bool(trim(seq)))
@@ -140,3 +144,23 @@ def test_gluing_commutes_with_frame_extraction(p, q):
 @given(dyck_paths())
 def test_frame_entries_sum_to_node_count(p):
     assert sum(frame_of(p).counts) == len(p) + 1
+
+
+@st.composite
+def sized_color_specs(draw, max_n: int = 12):
+    """A length n and colors for it, zeros included, one entry per level or gap."""
+    n = draw(st.integers(0, max_n))
+    counts = st.integers(0, 3)
+    h = draw(st.lists(counts, min_size=n + 1, max_size=n + 1))
+    u = draw(st.lists(counts, min_size=n, max_size=n))
+    d = draw(st.lists(counts, min_size=n, max_size=n))
+    return n, ColorSpec(h=tuple(h), u=tuple(u), d=tuple(d))
+
+
+@given(sized_color_specs())
+@settings(max_examples=40, deadline=None)
+def test_transfer_dp_matches_frame_sum(case):
+    n, spec = case
+    assert count_colored_motzkin(n, spec) == count_by_frames(n, spec)
+    no_flats = ColorSpec(h=(0,) * (n + 1), u=spec.u, d=spec.d)
+    assert count_colored_dyck(n, spec) == count_by_frames(2 * n, no_flats)
