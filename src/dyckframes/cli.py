@@ -86,6 +86,9 @@ def cmd_frame(args: argparse.Namespace, allow_large: bool) -> int:
         else:
             print("admissible  false")
         return EXIT_OK
+    # The class has at most C_n paths and the canonical path has 2n steps.
+    half = frames.frame_length(counts) // 2
+    _bound(f"frame {args.frame_text}", half, counting.CATALAN_CAP, "half-length", allow_large)
     fr = frames.Frame(counts)
     ups = list(counting.up_steps_per_level(fr))
     doc = {
@@ -142,34 +145,32 @@ def _ones(size: int) -> tuple[int, ...]:
     return (1,) * size
 
 
-def _bound_count(args: argparse.Namespace, work: int, cap: int, unit: str,
-                 allow_large: bool) -> None:
-    """Refuse a count over its cap before any of the work starts."""
+def _bound(what: str, work: int, cap: int, unit: str, allow_large: bool) -> None:
+    """Refuse a command's work over its cap before any of it starts."""
     if work > cap and not allow_large:
-        raise ResourceLimit(
-            f"count {args.kind} --n {args.n}: {unit} {work} exceeds the cap of {cap}"
-        )
+        raise ResourceLimit(f"{what}: {unit} {work} exceeds the cap of {cap}")
 
 
-def _bound_transfer(args: argparse.Namespace, steps: int, allow_large: bool) -> None:
+def _bound_transfer(what: str, steps: int, allow_large: bool) -> None:
     cells = counting.transfer_cells(steps)
-    _bound_count(args, cells, counting.TRANSFER_CELL_CAP, "DP cells", allow_large)
+    _bound(what, cells, counting.TRANSFER_CELL_CAP, "DP cells", allow_large)
 
 
 def cmd_count(args: argparse.Namespace, allow_large: bool) -> int:
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
     doc: dict = {"command": "count", "kind": args.kind, "n": args.n}
+    what = f"count {args.kind} --n {args.n}"
     if args.kind == "dyck":
         if args.k is not None:
             raise ValueError("--k only applies to kind k-motzkin")
         if args.colors_h is not None:
             raise ValueError("horizontal colors do not apply to kind dyck")
         if args.colors_u is None and args.colors_d is None:
-            _bound_count(args, args.n, counting.CATALAN_CAP, "half-length", allow_large)
+            _bound(what, args.n, counting.CATALAN_CAP, "half-length", allow_large)
             value = counting.catalan(args.n)
         else:
-            _bound_transfer(args, 2 * args.n, allow_large)
+            _bound_transfer(what, 2 * args.n, allow_large)
             u = _parse_color_vector(args.colors_u, "--colors-u") if args.colors_u else _ones(args.n)
             d = _parse_color_vector(args.colors_d, "--colors-d") if args.colors_d else _ones(args.n)
             doc["colors"] = {"u": list(u), "d": list(d)}
@@ -188,7 +189,7 @@ def cmd_count(args: argparse.Namespace, allow_large: bool) -> int:
             r = int(args.colors_h)
             if r < 1:
                 raise ValueError("horizontal color count must be at least 1")
-        _bound_transfer(args, args.n, allow_large)
+        _bound_transfer(what, args.n, allow_large)
         doc["k"] = args.k
         if r != 1:
             doc["colors"] = {"h": r}
@@ -196,7 +197,7 @@ def cmd_count(args: argparse.Namespace, allow_large: bool) -> int:
     else:  # motzkin
         if args.k is not None:
             raise ValueError("--k only applies to kind k-motzkin")
-        _bound_transfer(args, args.n, allow_large)
+        _bound_transfer(what, args.n, allow_large)
         if args.colors_h is None and args.colors_u is None and args.colors_d is None:
             value = counting.count_motzkin(args.n)
         else:

@@ -56,11 +56,12 @@ class FootTable:
     """Counts of Dyck paths by half-length, level, and number of feet.
 
     count(n, s, j) is the number of Dyck paths of length 2n with exactly
-    j lattice nodes at level s.  Level 0 is seeded by the one-path tables
-    for lengths 0 and 2 and grown with the lift-and-glue recursion; each
-    higher level convolves the level below against itself.  Querying
-    beyond the built bounds transparently rebuilds a larger table, so
-    grow the table from a single thread and share it read-only after.
+    j lattice nodes at level s.  Every level comes from one first-return
+    recurrence: a path is a lifted front glued to a shorter path, and its
+    foot polynomial is the front's, taken from the level below, times
+    the rest's.  Querying beyond the built bounds transparently rebuilds
+    a larger table, so grow the table from a single thread and share it
+    read-only after.
     """
 
     def __init__(self, max_level: int, max_half_length: int) -> None:
@@ -77,30 +78,17 @@ class FootTable:
         return self._max_half_length
 
     def _build(self, max_level: int, max_half_length: int) -> None:
-        level0 = [[0] * (n + 2) for n in range(max_half_length + 1)]
-        level0[0][1] = 1
-        if max_half_length >= 1:
-            level0[1][2] = 1
-        for n in range(2, max_half_length + 1):
-            row = level0[n]
-            # A 2-footed path is a lifting of anything one size smaller.
-            row[2] = sum(level0[n - 1])
-            # More feet: a lifted front glued to a path with one foot less.
-            for j in range(3, n + 2):
-                row[j] = sum(
-                    level0[i + 1][2] * level0[n - i - 1][j - 1]
-                    for i in range(n - 1)
-                    if j - 1 < len(level0[n - i - 1])
-                )
-        upper: list[list[list[int]]] = []
-        below = level0
-        for _s in range(1, max_level + 1):
-            rows = [[1]]
+        # A path U P D Q, with P of half-length i, has P's feet one level
+        # down plus Q's feet here: a product of polynomials in the foot
+        # count.  At level 0 the lifted front U P D is a single foot, and
+        # the null path has one foot there and none above, so level-0 rows
+        # are one entry longer: n + 2 entries against n + 1.
+        below = [[0, catalan(i)] for i in range(max_half_length)]
+        levels: list[list[list[int]]] = []
+        for s in range(max_level + 1):
+            rows = [[0, 1] if s == 0 else [1]]
             for n in range(1, max_half_length + 1):
-                # A path U P D Q, with P of half-length i, has P's feet one
-                # level down plus Q's feet here: a product of polynomials
-                # in the foot count, whose degree never exceeds n.
-                row = [0] * (n + 1)
+                row = [0] * (n + len(rows[0]))
                 for i in range(n):
                     right = rows[n - 1 - i]
                     for k, left in enumerate(below[i]):
@@ -108,10 +96,9 @@ class FootTable:
                             for m, ways in enumerate(right):
                                 row[k + m] += left * ways
                 rows.append(row)
-            upper.append(rows)
+            levels.append(rows)
             below = rows
-        self._level0 = level0
-        self._upper = upper
+        self._levels = levels
         self._max_level = max_level
         self._max_half_length = max_half_length
 
@@ -129,15 +116,13 @@ class FootTable:
         if feet < 0:
             raise ValueError("arguments must be nonnegative")
         self._ensure(half_length, level)
-        rows = self._level0 if level == 0 else self._upper[level - 1]
-        row = rows[half_length]
+        row = self._levels[level][half_length]
         return row[feet] if feet < len(row) else 0
 
     def row(self, half_length: int, level: int) -> tuple[int, ...]:
         """All counts for one length and level, from 0 feet upward."""
         self._ensure(half_length, level)
-        rows = self._level0 if level == 0 else self._upper[level - 1]
-        return tuple(rows[half_length])
+        return tuple(self._levels[level][half_length])
 
 
 def feet_level0(max_half_length: int) -> FootTable:

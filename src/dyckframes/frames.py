@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotAdmissible, NotDyck, NotLifted, ResourceLimit, Underflow
-from .paths import Path, parse_path
+from .paths import Path, _walk
 
 FRAME_ENUMERATION_CAP = 20
 
@@ -226,10 +226,12 @@ def frame_of(path: Path) -> Frame:
     """The frame of a Dyck path: its foot counts per level."""
     if not path.is_dyck:
         raise NotDyck(f"path has horizontal steps: {path.text!r}")
-    levels = path.levels()
-    counts = [0] * (max(levels) + 1)
-    for level in levels:
-        counts[level] += 1
+    counts = [1]
+    for level in _walk(path.text):
+        if level == len(counts):
+            counts.append(1)
+        else:
+            counts[level] += 1
     return Frame(tuple(counts))
 
 
@@ -238,10 +240,11 @@ def enumerate_frames(
 ) -> Iterator[Frame]:
     """Yield every admissible frame of length 2 * half_length exactly once.
 
-    Frames grow generation by generation: each frame of the previous
-    length produces its lifting and its extension.  The two children
-    coincide only when the parent is the null frame, which is why there
-    are 2**(n-1) frames of length 2n for n > 0.
+    Every frame of length 2n + 2 is the lifting or the extension of one
+    of length 2n.  The two children coincide only when the parent is
+    the null frame, which is why there are 2**(n-1) frames of length 2n
+    for n > 0.  Frames come out in the order of their choices of
+    lifting (first) and extension, read from the null frame up.
     """
     if half_length < 0:
         raise ValueError("half_length must be nonnegative")
@@ -253,18 +256,15 @@ def enumerate_frames(
 
 
 def _frames(half_length: int) -> Iterator[Frame]:
-    generation: list[RawSequence] = [(1,)]
-    for _ in range(half_length):
-        children: list[RawSequence] = []
-        seen: set[RawSequence] = set()
-        for counts in generation:
-            for child in (lift_frame(counts), extend_frame(counts)):
-                if child not in seen:
-                    seen.add(child)
-                    children.append(child)
-        generation = children
-    for counts in generation:
-        yield Frame(counts)
+    stack: list[tuple[RawSequence, int]] = [((1,), 0)]
+    while stack:
+        counts, size = stack.pop()
+        if size == half_length:
+            yield Frame(counts)
+            continue
+        if counts != (1,):  # both children of the null frame are (2, 1)
+            stack.append((extend_frame(counts), size + 1))
+        stack.append((lift_frame(counts), size + 1))
 
 
 def _reduction_ops(counts: RawSequence) -> list[bool] | None:
@@ -324,7 +324,7 @@ def canonical_representative(frame: Frame | Sequence[int]) -> Path:
         else:
             chars.append("U")
             chars.append("D")
-    return parse_path("".join(chars))
+    return Path("".join(chars))
 
 
 def consequences_hold(frame: Frame | Sequence[int]) -> bool:

@@ -9,7 +9,6 @@ counting formula elsewhere in the package is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Iterator
 
 from .errors import MalformedPath, ResourceLimit
@@ -17,62 +16,57 @@ from .errors import MalformedPath, ResourceLimit
 DYCK_ENUMERATION_CAP = 16
 MOTZKIN_ENUMERATION_CAP = 14
 
-
-class Step(Enum):
-    """A single unit step: up one level, down one level, or flat."""
-
-    UP = "U"
-    DOWN = "D"
-    HORIZONTAL = "H"
-
-    @property
-    def rise(self) -> int:
-        return _RISE[self]
+_RISE = {"U": 1, "D": -1, "H": 0}
 
 
-_RISE = {Step.UP: 1, Step.DOWN: -1, Step.HORIZONTAL: 0}
+def _walk(text: str) -> Iterator[int]:
+    """Yield the level after each step of text, checking it on the way.
+
+    Raises MalformedPath at the first character that is not a step or
+    that takes the walk below level 0, and at the end if the walk does
+    not return to level 0.
+    """
+    level = 0
+    for ch in text:
+        rise = _RISE.get(ch)
+        if rise is None:
+            raise MalformedPath(f"illegal step character {ch!r}")
+        level += rise
+        if level < 0:
+            raise MalformedPath(f"path dips below level 0: {text!r}")
+        yield level
+    if level != 0:
+        raise MalformedPath(f"path ends at level {level}, not 0: {text!r}")
 
 
 @dataclass(frozen=True)
 class Path:
-    """An immutable lattice path, stored as its step sequence.
+    """An immutable lattice path, stored as its string of U, D, and H steps.
 
-    Validity (never below level 0, ending at level 0) is checked on
-    construction, so every Path value is a real path.
+    Validity (only step characters, never below level 0, ending at
+    level 0) is checked on construction, so every Path value is a real
+    path.
     """
 
-    steps: tuple[Step, ...] = ()
+    text: str = ""
 
     def __post_init__(self) -> None:
-        level = 0
-        for step in self.steps:
-            level += step.rise
-            if level < 0:
-                raise MalformedPath(f"path dips below level 0: {self.text!r}")
-        if level != 0:
-            raise MalformedPath(f"path ends at level {level}, not 0: {self.text!r}")
-
-    @property
-    def text(self) -> str:
-        """The path as a string of U, D, and H characters."""
-        return "".join(step.value for step in self.steps)
+        for _ in _walk(self.text):
+            pass
 
     def __str__(self) -> str:
         return self.text
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.text)
 
     @property
     def is_dyck(self) -> bool:
-        return Step.HORIZONTAL not in self.steps
+        return "H" not in self.text
 
     def levels(self) -> tuple[int, ...]:
         """Level of every lattice node the path visits; length is len + 1."""
-        out = [0]
-        for step in self.steps:
-            out.append(out[-1] + step.rise)
-        return tuple(out)
+        return (0, *_walk(self.text))
 
 
 NULL_PATH = Path()
@@ -80,13 +74,7 @@ NULL_PATH = Path()
 
 def parse_path(text: str) -> Path:
     """Parse a string of U/D/H characters into a validated Path."""
-    steps = []
-    for ch in text:
-        try:
-            steps.append(Step(ch))
-        except ValueError:
-            raise MalformedPath(f"illegal step character {ch!r}") from None
-    return Path(tuple(steps))
+    return Path(text)
 
 
 def level_sequence(path: Path) -> tuple[int, ...]:
@@ -103,12 +91,12 @@ def foot_count(path: Path, level: int) -> int:
 
 def lift(path: Path) -> Path:
     """Wrap a path in an up step at the start and a down step at the end."""
-    return Path((Step.UP,) + path.steps + (Step.DOWN,))
+    return Path("U" + path.text + "D")
 
 
 def glue(first: Path, second: Path) -> Path:
     """Concatenate two paths; associative but not commutative."""
-    return Path(first.steps + second.steps)
+    return Path(first.text + second.text)
 
 
 def enumerate_dyck(
@@ -123,31 +111,12 @@ def enumerate_dyck(
     if half_length < 0:
         raise ValueError("half_length must be nonnegative")
     _check_cap("Dyck", half_length, cap)
-    return _dyck_paths(half_length)
+    return _paths(2 * half_length, frozenset())
 
 
 def _check_cap(kind: str, n: int, cap: int | None) -> None:
     if cap is not None and n > cap:
         raise ResourceLimit(f"{kind} enumeration at size {n} exceeds the cap of {cap}")
-
-
-def _dyck_paths(half_length: int) -> Iterator[Path]:
-    buf: list[str] = []
-
-    def rec(level: int, remaining: int) -> Iterator[Path]:
-        if remaining == 0:
-            yield parse_path("".join(buf))
-            return
-        if remaining >= level + 2:
-            buf.append("U")
-            yield from rec(level + 1, remaining - 1)
-            buf.pop()
-        if level > 0:
-            buf.append("D")
-            yield from rec(level - 1, remaining - 1)
-            buf.pop()
-
-    return rec(0, 2 * half_length)
 
 
 def enumerate_motzkin(
@@ -165,27 +134,28 @@ def enumerate_motzkin(
         raise ValueError("length must be nonnegative")
     _check_cap("Motzkin", length, cap)
     allowed = None if horizontal_levels is None else frozenset(horizontal_levels)
-    return _motzkin_paths(length, allowed)
+    return _paths(length, allowed)
 
 
-def _motzkin_paths(length: int, allowed: frozenset[int] | None) -> Iterator[Path]:
-    buf: list[str] = []
+def _paths(length: int, allowed: frozenset[int] | None) -> Iterator[Path]:
+    """Every path of the given length in U < D < H order.
 
-    def rec(level: int, remaining: int) -> Iterator[Path]:
-        if remaining == 0:
-            yield parse_path("".join(buf))
-            return
+    Flat steps may sit only at allowed levels, or anywhere when allowed
+    is None.  A depth-first walk over a stack of (prefix, level) pairs, so deep
+    paths need no recursion (Knuth, TAOCP 4A, 7.2.1.6).  A step is taken
+    only if level 0 stays reachable in the steps left; H, D, U are
+    pushed in that order so that U pops first.
+    """
+    stack = [("", 0)]
+    while stack:
+        prefix, level = stack.pop()
+        remaining = length - len(prefix)
+        if not remaining:
+            yield Path(prefix)
+            continue
+        if remaining > level and (allowed is None or level in allowed):
+            stack.append((prefix + "H", level))
+        if level:
+            stack.append((prefix + "D", level - 1))
         if remaining >= level + 2:
-            buf.append("U")
-            yield from rec(level + 1, remaining - 1)
-            buf.pop()
-        if level > 0:
-            buf.append("D")
-            yield from rec(level - 1, remaining - 1)
-            buf.pop()
-        if remaining >= level + 1 and (allowed is None or level in allowed):
-            buf.append("H")
-            yield from rec(level, remaining - 1)
-            buf.pop()
-
-    return rec(0, length)
+            stack.append((prefix + "U", level + 1))

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 import sys
 import time
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyckframes import enumerate_dyck, foot_count
 from dyckframes import cli
@@ -101,6 +105,19 @@ class TestFrame:
     def test_parse_error_exit_code(self, capsys):
         code, _ = run(capsys, "frame", "3,x,1")
         assert code == 2
+
+    def test_over_bound_is_refused_up_front(self, capsys):
+        start = time.perf_counter()
+        code, out = run(capsys, "frame", "30002,30001")
+        assert code == 3 and out == ""
+        assert time.perf_counter() - start < 0.5
+
+    def test_allow_large_lifts_the_frame_bound(self, capsys):
+        code, out = run(capsys, "frame", "30002,30001", "--allow-large", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["length"] == 60002 and doc["cardinality"] == 1
+        assert doc["canonical"] == "UD" * 30001
 
 
 class TestCount:
@@ -371,3 +388,59 @@ class TestHarness:
             first = run(capsys, *argv)
             second = run(capsys, *argv)
             assert first == second
+
+
+def _entries(values: list[int]) -> str:
+    return ",".join(str(v) for v in values)
+
+
+_small = st.integers(-1, 7).map(str)
+# Random entries are rarely admissible, so known frames are drawn too.
+_frame_text = st.lists(st.integers(0, 5), min_size=1, max_size=5).map(_entries) | st.sampled_from(
+    ["1", "2,1", "3,2", "2,2,1", "4,3", "3,3,1", "3,4,3,1", "2,3,3,1", "2,0,0",
+     "", "x", "-1", "1,,2", "\u0663"]
+)
+_colors = st.lists(st.integers(0, 3), max_size=5).map(_entries)
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    """A small invocation of one of the five subcommands, sometimes malformed."""
+    command = draw(st.sampled_from(["feet-table", "frame", "count", "enumerate", "verify"]))
+    argv = [command]
+    if command == "feet-table":
+        argv += ["--max", draw(_small), "--level", draw(_small)]
+    elif command == "frame":
+        argv.append(draw(_frame_text))
+    elif command == "count":
+        argv += [draw(st.sampled_from(["dyck", "motzkin", "k-motzkin"])), "--n", draw(_small)]
+        for flag in ("--k", "--colors-h", "--colors-u", "--colors-d"):
+            if draw(st.integers(0, 3)) == 0:
+                argv += [flag, draw(_small if flag == "--k" else _colors)]
+    elif command == "enumerate":
+        argv += [draw(st.sampled_from(["dyck", "motzkin"])), "--n", draw(_small)]
+        if draw(st.booleans()):
+            argv += ["--k", draw(_small)]
+        if draw(st.booleans()):
+            argv += ["--frame", draw(_frame_text)]
+        if draw(st.booleans()):
+            argv.append("--with-frame")
+    else:
+        argv += ["--max-n", draw(st.integers(-1, 3).map(str))]
+    argv += ["--format", draw(st.sampled_from(["table", "csv", "json"]))]
+    if draw(st.booleans()):
+        argv.append("--allow-large")
+    if draw(st.integers(0, 3)) == 0:
+        argv.append(draw(st.sampled_from(["--bogus", "7", "--n", "--format"])))
+    return argv
+
+
+@given(cli_argv())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 0 and argv[argv.index("--format") + 1] == "json":
+        json.loads(out.getvalue())

@@ -156,6 +156,13 @@ class TestFeetTable:
                 for feet in range(n + 2):
                     assert table.count(n, level, feet) == tally.get(feet, 0)
 
+    def test_row_lengths(self):
+        table = feet_table(3, 6)
+        for n in range(7):
+            assert len(table.row(n, 0)) == n + 2
+            for level in range(1, 4):
+                assert len(table.row(n, level)) == n + 1
+
     def test_rebuilds_on_larger_query(self):
         table = feet_table(1, 2)
         fresh = feet_table(3, 5)

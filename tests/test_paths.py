@@ -171,6 +171,9 @@ class TestEnumerateDyck:
         first = next(enumerate_dyck(17, cap=None))
         assert first.text == "U" * 17 + "D" * 17
 
+    def test_deep_walk_needs_no_recursion(self):
+        assert next(enumerate_dyck(600, cap=None)).text == "U" * 600 + "D" * 600
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             enumerate_dyck(-1)
@@ -201,6 +204,17 @@ class TestEnumerateMotzkin:
         with pytest.raises(ResourceLimit):
             enumerate_motzkin(15)
         assert next(enumerate_motzkin(15, cap=None)) is not None
+
+    def test_deep_walk_needs_no_recursion(self):
+        assert next(enumerate_motzkin(2000, cap=None)).text == "U" * 1000 + "D" * 1000
+
+    def test_order_is_lexicographic_u_d_h(self):
+        key = {"U": 0, "D": 1, "H": 2}
+        for n in range(8):
+            for levels in (None, {0}, {1}, {0, 2}):
+                texts = [p.text for p in enumerate_motzkin(n, levels)]
+                expected = brute_force_motzkin(n, levels)
+                assert texts == sorted(expected, key=lambda t: [key[c] for c in t])
 
 
 def test_enumerated_paths_round_trip():

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyckframes import (
     ColorSpec,
     Frame,
+    MalformedPath,
+    Path,
     count_colored_dyck,
     count_colored_motzkin,
     extend_frame,
@@ -69,6 +72,33 @@ def motzkin_paths(draw, max_length: int = 9):
         level += 1 if choice == "U" else -1 if choice == "D" else 0
         remaining -= 1
     return parse_path("".join(chars))
+
+
+def reference_levels(text: str) -> tuple[int, ...] | None:
+    """Node levels of the walk over text, or None if it is not a path."""
+    levels = [0]
+    for ch in text:
+        if ch not in "UDH":
+            return None
+        levels.append(levels[-1] + (1 if ch == "U" else -1 if ch == "D" else 0))
+        if levels[-1] < 0:
+            return None
+    return tuple(levels) if levels[-1] == 0 else None
+
+
+@given(st.text(alphabet="UDHX", max_size=12) | motzkin_paths().map(str))
+def test_path_accepts_exactly_the_reference_walks(text):
+    expected = reference_levels(text)
+    if expected is None:
+        with pytest.raises(MalformedPath):
+            Path(text)
+        with pytest.raises(MalformedPath):
+            parse_path(text)
+    else:
+        path = Path(text)
+        assert path.text == text and len(path) == len(text)
+        assert path.levels() == expected
+        assert parse_path(text) == path
 
 
 @given(motzkin_paths())
