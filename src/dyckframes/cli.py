@@ -1,6 +1,7 @@
 """Command-line front end: tables, frame reports, counts, enumeration,
-and a self-verification harness.  Every command renders as aligned text,
-csv, or a single json document, deterministically.
+and the self-verification harness of the verify module.  Every command
+renders through one function as aligned text, csv, or a single json
+document, deterministically.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 work over a size cap, refused before it starts.
@@ -12,12 +13,11 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import counting, frames, paths
 from .errors import DyckFramesError, ResourceLimit
+from .verify import run_verification
 
 FORMATS = ("table", "csv", "json")
 ALLOW_LARGE_ENV = "DYCKFRAMES_ALLOW_LARGE"
@@ -32,12 +32,36 @@ EXIT_RESOURCE_LIMIT = 3
 MIN_FEET_COLUMNS = 6
 
 
-def _align(rows: list[list[str]]) -> list[str]:
-    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
+def _align(rows: list[list]) -> list[str]:
+    cells = [[str(cell) for cell in row] for row in rows]
+    widths = [max(len(row[c]) for row in cells) for c in range(len(cells[0]))]
     return [
         "  ".join(cell.rjust(width) for cell, width in zip(row, widths)).rstrip()
-        for row in rows
+        for row in cells
     ]
+
+
+def _emit(fmt: str, doc: dict, rows: list[Sequence], table: list[str] | None = None) -> None:
+    """Print a command's output: json prints doc, csv joins each row with
+    commas, table prints the table lines if given, else each row joined
+    by two spaces.  Nothing prints when there are no lines.  A doc value
+    may be an iterator, listed only when json prints it."""
+    if fmt == "json":
+        lines = [json.dumps(doc, default=list)]
+    elif fmt == "csv":
+        lines = [",".join(map(str, row)) for row in rows]
+    elif table is not None:
+        lines = table
+    else:
+        lines = ["  ".join(map(str, row)) for row in rows]
+    if lines:
+        print("\n".join(lines))
+
+
+def _bound(what: str, work: int, cap: int, unit: str, allow_large: bool) -> None:
+    """Refuse a command's work over its cap before any of it starts."""
+    if work > cap and not allow_large:
+        raise ResourceLimit(f"{what}: {unit} {work} exceeds the cap of {cap}")
 
 
 # ---------------------------------------------------------------- feet-table
@@ -46,29 +70,23 @@ def _align(rows: list[list[str]]) -> list[str]:
 def cmd_feet_table(args: argparse.Namespace, allow_large: bool) -> int:
     if args.max < 0 or args.level < 0:
         raise ValueError("--max and --level must be nonnegative")
+    terms = counting.foot_table_terms(args.level, args.max)
+    what = f"feet-table --max {args.max} --level {args.level}"
+    _bound(what, terms, counting.FOOT_TABLE_TERM_CAP, "product terms", allow_large)
     table = counting.feet_table(args.level, args.max)
     start = 1 if args.level == 0 else 0
     columns = list(range(start, max(args.max, MIN_FEET_COLUMNS) + 1))
-    rows = [
-        (2 * n, [table.count(n, args.level, j) for j in columns])
-        for n in range(args.max + 1)
-    ]
-    if args.format == "csv":
-        lines = [",".join(str(v) for v in values) for _, values in rows]
-    elif args.format == "json":
-        doc = {
-            "command": "feet-table",
-            "level": args.level,
-            "max_half_length": args.max,
-            "feet": columns,
-            "rows": [{"steps": steps, "counts": values} for steps, values in rows],
-        }
-        lines = [json.dumps(doc)]
-    else:
-        grid = [["steps"] + [f"{j}-ped" for j in columns]]
-        grid += [[str(steps)] + [str(v) for v in values] for steps, values in rows]
-        lines = _align(grid)
-    print("\n".join(lines))
+    rows = [[table.count(n, args.level, j) for j in columns] for n in range(args.max + 1)]
+    doc = {
+        "command": "feet-table",
+        "level": args.level,
+        "max_half_length": args.max,
+        "feet": columns,
+        "rows": [{"steps": 2 * n, "counts": values} for n, values in enumerate(rows)],
+    }
+    grid = [["steps"] + [f"{j}-ped" for j in columns]]
+    grid += [[2 * n, *values] for n, values in enumerate(rows)]
+    _emit(args.format, doc, rows, _align(grid))
     return EXIT_OK
 
 
@@ -77,78 +95,44 @@ def cmd_feet_table(args: argparse.Namespace, allow_large: bool) -> int:
 
 def cmd_frame(args: argparse.Namespace, allow_large: bool) -> int:
     counts = frames.parse_frame_text(args.frame_text)
+    doc: dict = {"command": "frame", "input": args.frame_text, "admissible": False}
     if not frames.is_admissible_closed(counts):
-        doc: dict = {"command": "frame", "input": args.frame_text, "admissible": False}
-        if args.format == "json":
-            print(json.dumps(doc))
-        elif args.format == "csv":
-            print("0")
-        else:
-            print("admissible  false")
+        _emit(args.format, doc, [[0]], ["admissible  false"])
         return EXIT_OK
     # The class has at most C_n paths and the canonical path has 2n steps.
     half = frames.frame_length(counts) // 2
     _bound(f"frame {args.frame_text}", half, counting.CATALAN_CAP, "half-length", allow_large)
     fr = frames.Frame(counts)
     ups = list(counting.up_steps_per_level(fr))
-    doc = {
-        "command": "frame",
-        "input": args.frame_text,
-        "admissible": True,
-        "frame": list(fr.counts),
-        "length": fr.length,
-        "degree": fr.degree,
-        "cardinality": counting.frame_cardinality(fr),
-        "canonical": frames.canonical_representative(fr).text,
-        "up_steps": ups,
-    }
-    if args.format == "json":
-        print(json.dumps(doc))
-    elif args.format == "csv":
-        cells = [
-            "1",
-            str(doc["length"]),
-            str(doc["degree"]),
-            str(doc["cardinality"]),
-            doc["canonical"],
-            *[str(v) for v in ups],
-        ]
-        print(",".join(cells))
-    else:
-        grid = [
-            ["admissible", "true"],
-            ["frame", str(fr)],
-            ["length", str(doc["length"])],
-            ["degree", str(doc["degree"])],
-            ["cardinality", str(doc["cardinality"])],
-            ["canonical", doc["canonical"] or "(null path)"],
-            ["up_steps", " ".join(str(v) for v in ups) or "-"],
-        ]
-        print("\n".join("  ".join(row) for row in grid))
+    doc.update(
+        admissible=True,
+        frame=list(fr.counts),
+        length=fr.length,
+        degree=fr.degree,
+        cardinality=counting.frame_cardinality(fr),
+        canonical=frames.canonical_representative(fr).text,
+        up_steps=ups,
+    )
+    row = [1, doc["length"], doc["degree"], doc["cardinality"], doc["canonical"], *ups]
+    report = [
+        "admissible  true",
+        f"frame  {fr}",
+        f"length  {doc['length']}",
+        f"degree  {doc['degree']}",
+        f"cardinality  {doc['cardinality']}",
+        f"canonical  {doc['canonical'] or '(null path)'}",
+        f"up_steps  {' '.join(str(v) for v in ups) or '-'}",
+    ]
+    _emit(args.format, doc, [row], report)
     return EXIT_OK
 
 
 # --------------------------------------------------------------------- count
 
 
-def _parse_color_vector(text: str, flag: str) -> tuple[int, ...]:
-    values = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not frames.ASCII_DIGITS.fullmatch(piece):
-            raise ValueError(f"bad color count {piece!r} in {flag}")
-        values.append(int(piece))
-    return tuple(values)
-
-
-def _ones(size: int) -> tuple[int, ...]:
-    return (1,) * size
-
-
-def _bound(what: str, work: int, cap: int, unit: str, allow_large: bool) -> None:
-    """Refuse a command's work over its cap before any of it starts."""
-    if work > cap and not allow_large:
-        raise ResourceLimit(f"{what}: {unit} {work} exceeds the cap of {cap}")
+def _colors(text: str | None, flag: str, size: int) -> tuple[int, ...]:
+    """The color vector given with flag, or all ones when it is absent."""
+    return frames.parse_counts(text, "color count", flag) if text else (1,) * size
 
 
 def _bound_transfer(what: str, steps: int, allow_large: bool) -> None:
@@ -161,9 +145,9 @@ def cmd_count(args: argparse.Namespace, allow_large: bool) -> int:
         raise ValueError("--n must be nonnegative")
     doc: dict = {"command": "count", "kind": args.kind, "n": args.n}
     what = f"count {args.kind} --n {args.n}"
+    if args.kind != "k-motzkin" and args.k is not None:
+        raise ValueError("--k only applies to kind k-motzkin")
     if args.kind == "dyck":
-        if args.k is not None:
-            raise ValueError("--k only applies to kind k-motzkin")
         if args.colors_h is not None:
             raise ValueError("horizontal colors do not apply to kind dyck")
         if args.colors_u is None and args.colors_d is None:
@@ -171,8 +155,8 @@ def cmd_count(args: argparse.Namespace, allow_large: bool) -> int:
             value = counting.catalan(args.n)
         else:
             _bound_transfer(what, 2 * args.n, allow_large)
-            u = _parse_color_vector(args.colors_u, "--colors-u") if args.colors_u else _ones(args.n)
-            d = _parse_color_vector(args.colors_d, "--colors-d") if args.colors_d else _ones(args.n)
+            u = _colors(args.colors_u, "--colors-u", args.n)
+            d = _colors(args.colors_d, "--colors-d", args.n)
             doc["colors"] = {"u": list(u), "d": list(d)}
             value = counting.count_colored_dyck(args.n, counting.ColorSpec(u=u, d=d))
     elif args.kind == "k-motzkin":
@@ -195,24 +179,19 @@ def cmd_count(args: argparse.Namespace, allow_large: bool) -> int:
             doc["colors"] = {"h": r}
         value = counting.count_k_motzkin(args.n, args.k, r)
     else:  # motzkin
-        if args.k is not None:
-            raise ValueError("--k only applies to kind k-motzkin")
         _bound_transfer(what, args.n, allow_large)
         if args.colors_h is None and args.colors_u is None and args.colors_d is None:
             value = counting.count_motzkin(args.n)
         else:
             levels = args.n // 2
-            h = _parse_color_vector(args.colors_h, "--colors-h") if args.colors_h else _ones(levels + 1)
-            u = _parse_color_vector(args.colors_u, "--colors-u") if args.colors_u else _ones(levels)
-            d = _parse_color_vector(args.colors_d, "--colors-d") if args.colors_d else _ones(levels)
+            h = _colors(args.colors_h, "--colors-h", levels + 1)
+            u = _colors(args.colors_u, "--colors-u", levels)
+            d = _colors(args.colors_d, "--colors-d", levels)
             doc["colors"] = {"h": list(h), "u": list(u), "d": list(d)}
             spec = counting.ColorSpec(h=h, u=u, d=d)
             value = counting.count_colored_motzkin(args.n, spec)
     doc["count"] = value
-    if args.format == "json":
-        print(json.dumps(doc))
-    else:
-        print(value)
+    _emit(args.format, doc, [[value]])
     return EXIT_OK
 
 
@@ -237,313 +216,66 @@ def cmd_enumerate(args: argparse.Namespace, allow_large: bool) -> int:
         walk = paths.enumerate_motzkin(args.n, levels, cap=cap)
 
     wanted = frames.parse_frame_text(args.frame) if args.frame is not None else None
-    items: list[tuple[str, tuple[int, ...] | None]] = []
+    rows: list[tuple] = []
     for path in walk:
         counts = frames.frame_of(path).counts if args.kind == "dyck" else None
         if wanted is not None and counts != wanted:
             continue
-        items.append((path.text, counts if args.with_frame else None))
+        rows.append((path.text, *counts) if args.with_frame else (path.text,))
 
-    if args.format == "json":
-        if args.with_frame:
-            listed = [{"path": text, "frame": list(counts or ())} for text, counts in items]
-        else:
-            listed = [text for text, _ in items]
-        doc = {
-            "command": "enumerate",
-            "kind": args.kind,
-            "n": args.n,
-            "count": len(items),
-            "paths": listed,
-        }
-        if args.frame is not None:
-            doc["frame"] = list(wanted or ())
-        if args.k is not None:
-            doc["k"] = args.k
-        print(json.dumps(doc))
+    if args.with_frame:
+        listed: Iterator = ({"path": row[0], "frame": list(row[1:])} for row in rows)
     else:
-        lines = []
-        for text, counts in items:
-            if counts is not None:
-                sep = "," if args.format == "csv" else "  "
-                lines.append(text + sep + sep.join(str(v) for v in counts))
-            else:
-                lines.append(text)
-        if lines:
-            print("\n".join(lines))
+        listed = (row[0] for row in rows)
+    doc = {
+        "command": "enumerate",
+        "kind": args.kind,
+        "n": args.n,
+        "count": len(rows),
+        "paths": listed,
+    }
+    if args.frame is not None:
+        doc["frame"] = list(wanted or ())
+    if args.k is not None:
+        doc["k"] = args.k
+    _emit(args.format, doc, rows)
     return EXIT_OK
 
 
 # -------------------------------------------------------------------- verify
 
 
-@dataclass(frozen=True)
-class VerifyCheck:
-    name: str
-    params: str
-    expected: int
-    actual: int
-
-    @property
-    def passed(self) -> bool:
-        return self.expected == self.actual
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    max_n: int
-    checks: tuple[VerifyCheck, ...]
-
-    @property
-    def total(self) -> int:
-        return len(self.checks)
-
-    @property
-    def passed(self) -> int:
-        return sum(1 for check in self.checks if check.passed)
-
-    @property
-    def failed(self) -> int:
-        return self.total - self.passed
-
-    @property
-    def ok(self) -> bool:
-        return self.failed == 0
-
-
-def _sequences_up_to(max_len: int, max_sum: int):
-    """Every tuple of nonnegative ints with bounded length and entry sum."""
-    for length in range(max_len + 1):
-        if length == 0:
-            yield ()
-            continue
-        vec = [0] * length
-        total = 0
-        while True:
-            yield tuple(vec)
-            i = length - 1
-            while i >= 0:
-                if total < max_sum:
-                    vec[i] += 1
-                    total += 1
-                    break
-                total -= vec[i]
-                vec[i] = 0
-                i -= 1
-            else:
-                break
-
-
-def _positive_vectors(max_sum: int):
-    """Every nonempty tuple of positive ints with bounded sum."""
-    out: list[tuple[int, ...]] = []
-
-    def grow(prefix: list[int], budget: int) -> None:
-        for value in range(1, budget + 1):
-            prefix.append(value)
-            out.append(tuple(prefix))
-            grow(prefix, budget - value)
-            prefix.pop()
-
-    grow([], max_sum)
-    return out
-
-
-def run_verification(max_n: int, allow_large: bool = False) -> VerifyReport:
-    """Cross-check the closed formulas against brute-force enumeration."""
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
-    dyck_cap = None if allow_large else paths.DYCK_ENUMERATION_CAP
-    motz_cap = None if allow_large else paths.MOTZKIN_ENUMERATION_CAP
-    frame_cap = None if allow_large else frames.FRAME_ENUMERATION_CAP
-    checks: list[VerifyCheck] = []
-
-    def add(name: str, params: str, expected: int, actual: int) -> None:
-        checks.append(VerifyCheck(name, params, expected, actual))
-
-    table = counting.feet_table(max_n, max_n)
-    for n in range(max_n + 1):
-        listed = list(paths.enumerate_dyck(n, cap=dyck_cap))
-        census = Counter(frames.frame_of(path).counts for path in listed)
-        formula = list(frames.enumerate_frames(n, cap=frame_cap))
-
-        if n > 0:
-            add("frame_count_power", f"n={n}", 2 ** (n - 1), len(formula))
-        add(
-            "frame_set_oracle",
-            f"n={n}",
-            0,
-            len(set(census) ^ {fr.counts for fr in formula}),
-        )
-        add(
-            "cardinality_oracle",
-            f"n={n}",
-            0,
-            sum(
-                1
-                for fr in formula
-                if counting.frame_cardinality(fr) != census.get(fr.counts, 0)
-            ),
-        )
-        add(
-            "cardinality_sum_catalan",
-            f"n={n}",
-            counting.catalan(n),
-            sum(counting.frame_cardinality(fr) for fr in formula),
-        )
-        mismatched_cells = 0
-        for level in range(max_n + 1):
-            tally = Counter(paths.foot_count(path, level) for path in listed)
-            for feet in range(n + 2):
-                if table.count(n, level, feet) != tally.get(feet, 0):
-                    mismatched_cells += 1
-        add("foot_table_oracle", f"n={n} level<={max_n}", 0, mismatched_cells)
-        add("feet_sum_catalan", f"n={n}", counting.catalan(n), sum(table.row(n, 0)))
-        add(
-            "canonical_roundtrip",
-            f"n={n}",
-            0,
-            sum(
-                1
-                for fr in formula
-                if frames.frame_of(frames.canonical_representative(fr)) != fr
-            ),
-        )
-        add(
-            "consequences_hold",
-            f"n={n}",
-            0,
-            sum(1 for fr in formula if not frames.consequences_hold(fr)),
-        )
-
-    for n in range(min(max_n, 12) + 1):
-        oracle = sum(1 for _ in paths.enumerate_motzkin(n, cap=motz_cap))
-        add("motzkin_oracle", f"n={n}", oracle, counting.count_motzkin(n))
-    top_k = min(5, max_n)
-    for n in range(min(max_n, 10) + 1):
-        bad = 0
-        for k in range(top_k + 1):
-            oracle = sum(1 for _ in paths.enumerate_motzkin(n, {k}, cap=motz_cap))
-            if counting.count_k_motzkin(n, k) != oracle:
-                bad += 1
-        add("k_motzkin_oracle", f"n={n} k<={top_k}", 0, bad)
-
-    ones = (1,) * (max_n + 1)
-    bad_dyck = sum(
-        1
-        for n in range(max_n + 1)
-        if counting.count_colored_dyck(n, counting.ColorSpec(u=ones, d=ones))
-        != counting.catalan(n)
-    )
-    add("colored_dyck_reduction", f"n<={max_n}", 0, bad_dyck)
-    bad_motzkin = sum(
-        1
-        for n in range(max_n + 1)
-        if counting.count_colored_motzkin(n, counting.ColorSpec(h=ones, u=ones, d=ones))
-        != counting.count_motzkin(n)
-    )
-    add("colored_motzkin_reduction", f"n<={max_n}", 0, bad_motzkin)
-
-    # The transfer DP serves the counts; the frame sum and the foot table
-    # are the paper's routes to the same numbers.  Colors include zeros.
-    size = max_n + 1
-    spec = counting.ColorSpec(
-        h=tuple((k + 2) % 4 for k in range(size)),
-        u=tuple(k % 3 + 1 for k in range(size)),
-        d=tuple((k + 1) % 2 + 1 for k in range(size)),
-    )
-    no_flats = counting.ColorSpec(h=(0,) * size, u=spec.u, d=spec.d)
-    bad_dyck = sum(
-        1
-        for n in range(max_n + 1)
-        if counting.count_colored_dyck(n, spec)
-        != counting.count_by_frames(2 * n, no_flats, cap=frame_cap)
-    )
-    add("colored_dyck_frame_sum", f"n<={max_n}", 0, bad_dyck)
-    bad_motzkin = sum(
-        1
-        for n in range(max_n + 1)
-        if counting.count_colored_motzkin(n, spec)
-        != counting.count_by_frames(n, spec, cap=frame_cap)
-    )
-    add("colored_motzkin_frame_sum", f"n<={max_n}", 0, bad_motzkin)
-    bad_k = sum(
-        1
-        for n in range(max_n + 1)
-        for k in range(top_k + 1)
-        if counting.count_k_motzkin(n, k, 2) != counting.count_k_motzkin_by_feet(n, k, 2)
-    )
-    add("k_motzkin_foot_table", f"n<={max_n} k<={top_k}", 0, bad_k)
-
-    entries = min(max_n, 6)
-    entry_sum = min(2 * max_n + 1, 17)
-    disagreements = sum(
-        1
-        for seq in _sequences_up_to(entries, entry_sum)
-        if frames.is_admissible_trace(seq) != frames.is_admissible_closed(seq)
-    )
-    add("decider_agreement", f"len<={entries} sum<={entry_sum}", 0, disagreements)
-
-    m_top = min(max_n, 6)
-    part_sum = min(max_n, 8)
-    failures = sum(
-        1
-        for m in range(m_top + 1)
-        for parts in _positive_vectors(part_sum)
-        if not counting.binomial_identity_check(m, parts)
-    )
-    add("binomial_identity", f"m<={m_top} parts_sum<={part_sum}", 0, failures)
-
-    return VerifyReport(max_n, tuple(checks))
-
-
 def cmd_verify(args: argparse.Namespace, allow_large: bool) -> int:
     if args.max_n < 0:
         raise ValueError("--max-n must be nonnegative")
     report = run_verification(args.max_n, allow_large=allow_large)
-    if args.format == "json":
-        doc = {
-            "command": "verify",
-            "max_n": report.max_n,
-            "checks": [
-                {
-                    "name": check.name,
-                    "params": check.params,
-                    "expected": check.expected,
-                    "actual": check.actual,
-                    "pass": check.passed,
-                }
-                for check in report.checks
-            ],
-            "summary": {
-                "total": report.total,
-                "passed": report.passed,
-                "failed": report.failed,
-            },
-        }
-        print(json.dumps(doc))
-    elif args.format == "csv":
-        lines = [
-            f"{check.name},{check.params},{check.expected},{check.actual},"
-            f"{1 if check.passed else 0}"
+    doc = {
+        "command": "verify",
+        "max_n": report.max_n,
+        "checks": [
+            {
+                "name": check.name,
+                "params": check.params,
+                "expected": check.expected,
+                "actual": check.actual,
+                "pass": check.passed,
+            }
             for check in report.checks
-        ]
-        print("\n".join(lines))
-    else:
-        grid = [["check", "params", "expected", "actual", "status"]]
-        grid += [
-            [
-                check.name,
-                check.params,
-                str(check.expected),
-                str(check.actual),
-                "ok" if check.passed else "FAIL",
-            ]
-            for check in report.checks
-        ]
-        lines = _align(grid)
-        lines.append(f"passed {report.passed}/{report.total}")
-        print("\n".join(lines))
+        ],
+        "summary": {
+            "total": report.total,
+            "passed": report.passed,
+            "failed": report.failed,
+        },
+    }
+    rows = [
+        [check.name, check.params, check.expected, check.actual, 1 if check.passed else 0]
+        for check in report.checks
+    ]
+    grid = [["check", "params", "expected", "actual", "status"]]
+    grid += [[*row[:4], "ok" if row[4] else "FAIL"] for row in rows]
+    table = _align(grid) + [f"passed {report.passed}/{report.total}"]
+    _emit(args.format, doc, rows, table)
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 

@@ -29,6 +29,9 @@ from .frames import (
 # a half-length whose number prints in about a tenth of a second.
 TRANSFER_CELL_CAP = 2_000_000
 CATALAN_CAP = 30_000
+# The foot-table cap is in foot_table_terms; at the cap, feet-table --max 97
+# --level 4 takes 0.8 s, --max 0 --level 833332 0.5 s and 150 MB (2-vCPU VM).
+FOOT_TABLE_TERM_CAP = 20_000_000
 
 
 def binomial(top: int, bottom: int) -> int:
@@ -199,6 +202,16 @@ def _require_entries(vec: tuple[int, ...], size: int, name: str) -> None:
 def transfer_cells(steps: int) -> int:
     """Cells the transfer DP visits for paths of the given length, at most."""
     return steps * (steps // 2 + 1)
+
+
+def foot_table_terms(max_level: int, max_half_length: int) -> int:
+    """Work of FootTable(max_level, max_half_length), in polynomial-product terms.
+
+    Each level multiplies about m**4 / 24 pairs of entries, m = max_half_length
+    + 1; its m rows are charged 24 terms apiece to bound tall tables' memory.
+    """
+    m = max_half_length + 1
+    return (max_level + 1) * (m**4 // 24 + 24 * m)
 
 
 def _transfer_count(steps: int, h: Sequence[int], w: Sequence[int]) -> int:

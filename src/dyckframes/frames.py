@@ -206,15 +206,20 @@ class Frame:
 NULL_FRAME = Frame((1,))
 
 
-def parse_frame_text(text: str) -> RawSequence:
-    """Parse comma-separated nonnegative integers; trailing zeros dropped."""
+def parse_counts(text: str, noun: str, where: str) -> RawSequence:
+    """Parse comma-separated ASCII nonnegative integers; errors name noun and where."""
     values = []
     for piece in text.split(","):
         piece = piece.strip()
         if not ASCII_DIGITS.fullmatch(piece):
-            raise ValueError(f"bad frame entry {piece!r} in {text!r}")
+            raise ValueError(f"bad {noun} {piece!r} in {where}")
         values.append(int(piece))
-    return trim(values)
+    return tuple(values)
+
+
+def parse_frame_text(text: str) -> RawSequence:
+    """Parse comma-separated nonnegative integers; trailing zeros dropped."""
+    return trim(parse_counts(text, "frame entry", repr(text)))
 
 
 def ensure_frame(value: Frame | Sequence[int]) -> Frame:

@@ -64,6 +64,26 @@ class TestFeetTable:
         code, _ = run(capsys, "feet-table", "--max", "-2", "--format", "csv")
         assert code == 2
 
+    def test_huge_level_is_refused_up_front(self, capsys):
+        start = time.perf_counter()
+        code, out = run(capsys, "feet-table", "--max", "5", "--level", "100000000")
+        assert code == 3 and out == ""
+        assert time.perf_counter() - start < 0.5
+
+    def test_bound_admits_the_benchmark_and_verify_tables(self):
+        cap = cli.counting.FOOT_TABLE_TERM_CAP
+        assert cli.counting.foot_table_terms(4, 40) <= cap
+        assert cli.counting.foot_table_terms(16, 16) <= cap
+        # A tall table of one-entry rows is refused too.
+        assert cli.counting.foot_table_terms(10**8, 0) > cap
+
+    def test_allow_large_lifts_the_feet_table_bound(self, capsys, monkeypatch):
+        argv = ("feet-table", "--max", "3", "--level", "1", "--format", "csv")
+        _, expected = run(capsys, *argv)
+        monkeypatch.setattr(cli.counting, "FOOT_TABLE_TERM_CAP", 10)
+        assert run(capsys, *argv) == (3, "")
+        assert run(capsys, *argv, "--allow-large") == (0, expected)
+
 
 class TestFrame:
     def test_admissible_report_json(self, capsys):
@@ -349,6 +369,22 @@ class TestVerify:
         assert code == 1
         assert {c["name"] for c in json.loads(out)["checks"] if not c["pass"]} == checks
 
+    def test_over_cap_is_refused_before_any_work(self, capsys, monkeypatch):
+        monkeypatch.setattr(paths_module, "DYCK_ENUMERATION_CAP", 2)
+        calls = []
+        original = cli.counting.feet_table
+        monkeypatch.setattr(
+            cli.counting, "feet_table", lambda *a: calls.append(a) or original(*a)
+        )
+        assert run(capsys, "verify", "--max-n", "3") == (3, "")
+        assert calls == []
+        assert run(capsys, "verify", "--max-n", "3", "--allow-large")[0] == 0
+
+    def test_default_cap_is_refused_up_front(self, capsys):
+        start = time.perf_counter()
+        assert run(capsys, "verify", "--max-n", "17") == (3, "")
+        assert time.perf_counter() - start < 0.5
+
     def test_injected_fault_fails(self, capsys, monkeypatch):
         original = cli.counting.catalan
         monkeypatch.setattr(cli.counting, "catalan", lambda n: original(n) + (n == 2))
@@ -388,6 +424,67 @@ class TestHarness:
             first = run(capsys, *argv)
             second = run(capsys, *argv)
             assert first == second
+
+
+# Small invocations of all five commands; each runs in every format.
+GOLDEN_ARGV = [
+    ("feet-table", "--max", "0"),
+    ("feet-table", "--max", "4", "--level", "0"),
+    ("feet-table", "--max", "3", "--level", "2"),
+    ("feet-table", "--max", "7", "--level", "1"),
+    ("frame", "1"),
+    ("frame", "3,4,3,1"),
+    ("frame", "2,1,0,0"),
+    ("frame", "3,6,6,3,1"),
+    ("frame", "4,5,2,3,1"),
+    ("frame", "3,x,1"),
+    ("count", "dyck", "--n", "0"),
+    ("count", "dyck", "--n", "7"),
+    ("count", "dyck", "--n", "3", "--colors-u", "2,1,3"),
+    ("count", "dyck", "--n", "3", "--colors-u", "2,0,3", "--colors-d", "1,2,2"),
+    ("count", "motzkin", "--n", "6"),
+    ("count", "motzkin", "--n", "6", "--colors-h", "0,1,2,3"),
+    ("count", "motzkin", "--n", "5", "--colors-h", "2,1,1", "--colors-u", "1,3",
+     "--colors-d", "2,1"),
+    ("count", "k-motzkin", "--n", "5", "--k", "1"),
+    ("count", "k-motzkin", "--n", "5", "--k", "0", "--colors-h", "2"),
+    ("count", "dyck", "--n", "3", "--k", "1"),
+    ("enumerate", "dyck", "--n", "0"),
+    ("enumerate", "dyck", "--n", "3"),
+    ("enumerate", "dyck", "--n", "4", "--with-frame"),
+    ("enumerate", "dyck", "--n", "5", "--frame", "3,4,3,1"),
+    ("enumerate", "dyck", "--n", "5", "--frame", "3,4,3,1", "--with-frame"),
+    ("enumerate", "dyck", "--n", "4", "--frame", "4,5,2,3,1"),
+    ("enumerate", "motzkin", "--n", "4"),
+    ("enumerate", "motzkin", "--n", "5", "--k", "1"),
+    ("enumerate", "motzkin", "--n", "3", "--with-frame"),
+    ("verify", "--max-n", "0"),
+    ("verify", "--max-n", "3"),
+]
+GOLDEN_CASES = [
+    [*argv, "--format", fmt] for argv in GOLDEN_ARGV for fmt in ("table", "csv", "json")
+]
+CLI_GOLDEN = GOLDEN_DIR / "cli_outputs.json"
+
+
+def _golden_run(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return {"argv": argv, "exit": code, "stdout": out.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def cli_golden() -> dict[tuple[str, ...], dict]:
+    if os.environ.get("DYCKFRAMES_REGEN_GOLDEN") == "1":
+        cases = [_golden_run(argv) for argv in GOLDEN_CASES]
+        CLI_GOLDEN.write_text("[\n" + ",\n".join(json.dumps(case) for case in cases) + "\n]\n")
+    return {tuple(case["argv"]): case for case in json.loads(CLI_GOLDEN.read_text())}
+
+
+@pytest.mark.parametrize("argv", GOLDEN_CASES, ids=" ".join)
+def test_output_matches_cli_golden(cli_golden, argv):
+    assert _golden_run(argv) == cli_golden[tuple(argv)]
 
 
 def _entries(values: list[int]) -> str:
