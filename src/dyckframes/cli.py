@@ -216,9 +216,10 @@ def cmd_enumerate(args: argparse.Namespace, allow_large: bool) -> int:
         walk = paths.enumerate_motzkin(args.n, levels, cap=cap)
 
     wanted = frames.parse_frame_text(args.frame) if args.frame is not None else None
+    framed = wanted is not None or args.with_frame
     rows: list[tuple] = []
     for path in walk:
-        counts = frames.frame_of(path).counts if args.kind == "dyck" else None
+        counts = frames.frame_of(path).counts if framed else None
         if wanted is not None and counts != wanted:
             continue
         rows.append((path.text, *counts) if args.with_frame else (path.text,))

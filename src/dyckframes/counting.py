@@ -30,7 +30,9 @@ from .frames import (
 TRANSFER_CELL_CAP = 2_000_000
 CATALAN_CAP = 30_000
 # The foot-table cap is in foot_table_terms; at the cap, feet-table --max 97
-# --level 4 takes 0.8 s, --max 0 --level 833332 0.5 s and 150 MB (2-vCPU VM).
+# --level 4 takes about 1 s (2-vCPU VM).  FootTable stores at most
+# max + 2 levels, so the estimate over-charges tall tables: at the cap,
+# --max 0 --level 833332 takes 0.05 s and 16 MB.
 FOOT_TABLE_TERM_CAP = 20_000_000
 
 
@@ -62,9 +64,11 @@ class FootTable:
     j lattice nodes at level s.  Every level comes from one first-return
     recurrence: a path is a lifted front glued to a shorter path, and its
     foot polynomial is the front's, taken from the level below, times
-    the rest's.  Querying beyond the built bounds transparently rebuilds
-    a larger table, so grow the table from a single thread and share it
-    read-only after.
+    the rest's.  No path of half-length n has a foot above level n, so
+    levels above max_half_length + 1 are not stored: they repeat the top
+    stored level, rows [C_n, 0, ..., 0].  Querying beyond the built bounds
+    transparently rebuilds a larger table, so grow the table from a
+    single thread and share it read-only after.
     """
 
     def __init__(self, max_level: int, max_half_length: int) -> None:
@@ -88,7 +92,7 @@ class FootTable:
         # are one entry longer: n + 2 entries against n + 1.
         below = [[0, catalan(i)] for i in range(max_half_length)]
         levels: list[list[list[int]]] = []
-        for s in range(max_level + 1):
+        for s in range(min(max_level, max_half_length + 1) + 1):
             rows = [[0, 1] if s == 0 else [1]]
             for n in range(1, max_half_length + 1):
                 row = [0] * (n + len(rows[0]))
@@ -105,7 +109,7 @@ class FootTable:
         self._max_level = max_level
         self._max_half_length = max_half_length
 
-    def _ensure(self, half_length: int, level: int) -> None:
+    def _row(self, half_length: int, level: int) -> list[int]:
         if half_length < 0 or level < 0:
             raise ValueError("arguments must be nonnegative")
         if half_length > self._max_half_length or level > self._max_level:
@@ -113,19 +117,18 @@ class FootTable:
                 max(level, self._max_level),
                 max(half_length, self._max_half_length),
             )
+        return self._levels[min(level, len(self._levels) - 1)][half_length]
 
     def count(self, half_length: int, level: int, feet: int) -> int:
         """Number of Dyck paths of length 2 * half_length with feet nodes at level."""
         if feet < 0:
             raise ValueError("arguments must be nonnegative")
-        self._ensure(half_length, level)
-        row = self._levels[level][half_length]
+        row = self._row(half_length, level)
         return row[feet] if feet < len(row) else 0
 
     def row(self, half_length: int, level: int) -> tuple[int, ...]:
         """All counts for one length and level, from 0 feet upward."""
-        self._ensure(half_length, level)
-        return tuple(self._levels[level][half_length])
+        return tuple(self._row(half_length, level))
 
 
 def feet_level0(max_half_length: int) -> FootTable:
@@ -141,19 +144,17 @@ def feet_table(max_level: int, max_half_length: int) -> FootTable:
 def frame_cardinality(frame: Frame | Sequence[int]) -> int:
     """Exact number of Dyck paths whose frame is the given one.
 
-    Peeling the frame to its right progenitor frees offset many peaks at
-    each level; distributing them over the available positions gives one
-    binomial factor per level above the bottom, and the product counts
-    the whole class.
+    With v = up_steps_per_level(frame), each of the v(k-1) rises into
+    level k opens a stay at or above level k, and the vk rises from
+    level k fall into those stays in order: a weak composition of vk
+    into v(k-1) parts, binomial(ck - 1, vk) ways since ck = v(k-1) + vk.
+    The product over the levels 0 < k < f is the class size; the tests
+    check it against the census of enumerated paths.
     """
     frame = ensure_frame(frame)
-    counts = frame.counts
-    result = 1
-    offset = 0
-    for k in range(1, frame.degree + 1):
-        offset = counts[k - 1] - offset - 2
-        result *= binomial(counts[k] - 1, counts[k] - offset - 1)
-    return result
+    ups = up_steps_per_level(frame)
+    pairs = zip(frame.counts[1:], ups[1:])
+    return math.prod(math.comb(count - 1, up) for count, up in pairs)
 
 
 def up_steps_per_level(frame: Frame | Sequence[int]) -> tuple[int, ...]:
@@ -162,7 +163,8 @@ def up_steps_per_level(frame: Frame | Sequence[int]) -> tuple[int, ...]:
     The value depends only on the frame, not on the particular path:
     each node contributes two incident steps, half rising, so the counts
     satisfy v0 = c0 - 1 and vk = ck - v(k-1).  They are all positive and
-    sum to half the frame length.
+    sum to half the frame length.  frames.is_admissible_closed runs the
+    same recurrence inline.
     """
     frame = ensure_frame(frame)
     ups = []
@@ -208,7 +210,8 @@ def foot_table_terms(max_level: int, max_half_length: int) -> int:
     """Work of FootTable(max_level, max_half_length), in polynomial-product terms.
 
     Each level multiplies about m**4 / 24 pairs of entries, m = max_half_length
-    + 1; its m rows are charged 24 terms apiece to bound tall tables' memory.
+    + 1, and its m rows are charged 24 terms apiece.  Every level up to
+    max_level is charged, although FootTable builds only the first m + 1.
     """
     m = max_half_length + 1
     return (max_level + 1) * (m**4 // 24 + 24 * m)
@@ -314,15 +317,18 @@ def count_by_frames(
     """Colored Motzkin paths of length n, summed over frames.
 
     The paper's route, kept as the oracle for the transfer DP.  Sums
-    over the frame of the underlying Dyck path: the class size, the
-    up/down color choices per gap, and for each weak composition of the
-    n - 2j horizontal steps over levels 0..n//2 a binomial factor for
-    placing them among that level's feet times h[t] ** k[t] color
-    choices.  A level with no feet admits no horizontal steps, and
-    0 ** 0 == 1 keeps levels with zero colors but zero steps neutral.
-    With h all zero only the frames of length n contribute, so this
-    also counts colored Dyck paths of length n.  Frames of half-length
-    above cap raise ResourceLimit before any is enumerated.
+    over the frame (c0, ..., cf) of the underlying Dyck path of length
+    2j: the class size, the up/down color choices per gap, and the ways
+    to place the n - 2j horizontal steps on its feet, h[t] colors each.
+    Spreading k steps over the ct feet at level t gives
+    binomial(k + ct - 1, k) * h[t] ** k, so the placements are the
+    coefficient of x ** (n - 2j) in the product over t of
+    (1 - h[t] x) ** -ct; binomial_identity_check tests the composition
+    identity behind this.  Each foot at a colored level multiplies the
+    series by 1 / (1 - h[t] x), one prefix-sum pass.  With h all zero
+    only the frames of length n contribute, so this also counts colored
+    Dyck paths of length n.  Frames of half-length above cap raise
+    ResourceLimit before any is enumerated.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -337,18 +343,13 @@ def count_by_frames(
         flat = n - 2 * j
         if flat and not any(colors.h[: levels + 1]):
             continue
-        compositions = list(weak_compositions(flat, levels + 1))
         for frame in enumerate_frames(j, cap=None):
-            placements = 0
-            for parts in compositions:
-                term = 1
-                for t, spread in enumerate(parts):
-                    term *= binomial(spread + frame.foot_count(t) - 1, spread)
-                    if term == 0:
-                        break
-                    term *= colors.h[t] ** spread
-                placements += term
-            total += _frame_weight(frame, colors) * placements
+            series = [1] + [0] * flat
+            for t, feet in enumerate(frame.counts):
+                for _ in range(feet if colors.h[t] else 0):
+                    for k in range(1, flat + 1):
+                        series[k] += colors.h[t] * series[k - 1]
+            total += _frame_weight(frame, colors) * series[flat]
     return total
 
 

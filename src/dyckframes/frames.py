@@ -7,7 +7,8 @@ operators drive everything here: prepending a 2 (what lifting a path
 does to its frame), adding 1 to the first two entries (gluing a single
 peak onto the end), and their two inverses.  A sequence is admissible
 when it is the frame of at least one path; this module decides that by
-two independent methods and builds the canonical representative path of
+two independent methods (the reduction itself and a closed test on the
+up steps per level) and builds the canonical representative path of
 any admissible frame.
 """
 
@@ -136,34 +137,23 @@ def is_admissible_trace(seq: Sequence[int] | "Frame") -> bool:
 
 
 def is_admissible_closed(seq: Sequence[int] | "Frame") -> bool:
-    """Decide admissibility from alternating partial sums, no reduction.
+    """Decide admissibility from the up steps per level, no reduction.
 
-    Writing the trimmed sequence as (c0, ..., cf) with cf > 0: for f = 0
-    it must be exactly (1,).  Otherwise c0 must be at least 2, every
-    partial sum ct - c(t-1) + ... +- c0 with t < f must be at least 2
-    when t is even and at least 0 when t is odd, and the final one must
-    equal 1 when f is even and -1 when f is odd.
+    Writing the trimmed sequence as (c0, ..., cf), the would-be up steps
+    from level k are v0 = c0 - 1 and vk = ck - v(k-1).  The sequence is a
+    frame exactly when every vk with k < f is at least 1 and vf is 0,
+    that is cf == v(f-1).  Then every entry is at least 1, so negative
+    entries are rejected too.  This is counting.up_steps_per_level
+    inlined, kept as a plain loop because the decider is swept over
+    millions of sequences.
     """
     counts = trim(seq)
-    if not counts:
-        return False
-    last = len(counts) - 1
-    if last == 0:
-        return counts[0] == 1
-    if counts[0] < 2:
-        return False
-    alt = counts[0]
-    for t in range(1, last + 1):
-        value = counts[t]
-        if value < 0:
+    ups = 1
+    for value in counts[:-1]:
+        ups = value - ups
+        if ups < 1:
             return False
-        alt = value - alt
-        if t < last:
-            if alt < (0 if t % 2 else 2):
-                return False
-        elif alt != (-1 if last % 2 else 1):
-            return False
-    return True
+    return bool(counts) and counts[-1] == ups
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,11 @@ class TestFeetTable:
         # A tall table of one-entry rows is refused too.
         assert cli.counting.foot_table_terms(10**8, 0) > cap
 
+    def test_levels_above_max_plus_one_repeat(self, capsys):
+        argv = ("feet-table", "--max", "3", "--format", "csv")
+        _, expected = run(capsys, *argv, "--level", "4")
+        assert run(capsys, *argv, "--level", "100000", "--allow-large") == (0, expected)
+
     def test_allow_large_lifts_the_feet_table_bound(self, capsys, monkeypatch):
         argv = ("feet-table", "--max", "3", "--level", "1", "--format", "csv")
         _, expected = run(capsys, *argv)
@@ -287,6 +292,17 @@ class TestEnumerate:
             {"path": "UDUD", "frame": [3, 2]},
         ]
 
+    def test_frames_only_built_on_request(self, capsys, monkeypatch):
+        _, expected = run(capsys, "enumerate", "dyck", "--n", "6", "--format", "csv")
+        calls = []
+        original = cli.frames.frame_of
+        monkeypatch.setattr(cli.frames, "frame_of", lambda p: calls.append(p) or original(p))
+        code, out = run(capsys, "enumerate", "dyck", "--n", "6", "--format", "csv")
+        assert (code, out) == (0, expected)
+        assert len(out.splitlines()) == 132 and calls == []
+        run(capsys, "enumerate", "dyck", "--n", "6", "--with-frame", "--format", "csv")
+        assert len(calls) == 132
+
     def test_motzkin_with_level_restriction(self, capsys):
         code, out = run(capsys, "enumerate", "motzkin", "--n", "3", "--k", "0", "--format", "csv")
         assert code == 0
@@ -368,6 +384,21 @@ class TestVerify:
         code, out = run(capsys, "verify", "--max-n", "3", "--format", "json")
         assert code == 1
         assert {c["name"] for c in json.loads(out)["checks"] if not c["pass"]} == checks
+
+    @pytest.mark.parametrize(
+        "module, name, check",
+        [
+            ("frames", "is_admissible_trace", "decider_agreement"),
+            ("counting", "binomial_identity_check", "binomial_identity"),
+        ],
+    )
+    def test_fact_checks_catch_a_fault(self, capsys, monkeypatch, module, name, check):
+        target = getattr(cli, module)
+        original = getattr(target, name)
+        monkeypatch.setattr(target, name, lambda *a: not original(*a))
+        code, out = run(capsys, "verify", "--max-n", "3", "--format", "json")
+        assert code == 1
+        assert {c["name"] for c in json.loads(out)["checks"] if not c["pass"]} == {check}
 
     def test_over_cap_is_refused_before_any_work(self, capsys, monkeypatch):
         monkeypatch.setattr(paths_module, "DYCK_ENUMERATION_CAP", 2)

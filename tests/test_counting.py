@@ -8,6 +8,8 @@ brute-force sums over the path enumerators.
 from __future__ import annotations
 
 import math
+import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -168,6 +170,19 @@ class TestFeetTable:
         fresh = feet_table(3, 5)
         assert table.count(5, 3, 2) == fresh.count(5, 3, 2)
         assert table.max_level >= 3 and table.max_half_length >= 5
+
+    def test_tall_table_stores_only_the_levels_that_differ(self):
+        tracemalloc.start()
+        try:
+            tall = feet_table(100_000, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert tall.max_level == 100_000
+        short = feet_table(4, 3)
+        for n in range(4):
+            assert tall.row(n, 100_000) == short.row(n, 4) == (catalan(n),) + (0,) * n
 
     def test_negative_arguments_rejected(self):
         table = feet_table(1, 1)
@@ -369,6 +384,22 @@ class TestFrameSum:
             spec = ColorSpec(h=(0,) * (n + 1), u=(1,) * n, d=(1,) * n)
             assert count_by_frames(2 * n, spec) == catalan(n)
             assert count_by_frames(2 * n + 1, spec) == 0
+
+    def test_matches_transfer_dp_up_to_n_24(self):
+        # verify's colors, zeros included; n = 24 needs 13 levels of h.
+        size = 13
+        spec = ColorSpec(
+            h=tuple((k + 2) % 4 for k in range(size)),
+            u=tuple(k % 3 + 1 for k in range(size)),
+            d=tuple((k + 1) % 2 + 1 for k in range(size)),
+        )
+        no_flats = ColorSpec(h=(0,) * size, u=spec.u, d=spec.d)
+        start = time.perf_counter()
+        for n in range(13, 25):
+            assert count_by_frames(n, spec) == count_colored_motzkin(n, spec), n
+        for n in range(7, 13):
+            assert count_by_frames(2 * n, no_flats) == count_colored_dyck(n, spec), n
+        assert time.perf_counter() - start < 2.0
 
     def test_cap_checked_before_any_frame(self):
         n = 2 * (FRAME_ENUMERATION_CAP + 1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 
 import pytest
@@ -139,6 +140,17 @@ class TestAdmissibility:
     def test_deciders_agree_on_small_sweep(self):
         for seq in all_sequences(5, 13):
             assert is_admissible_trace(seq) == is_admissible_closed(seq), seq
+
+    def test_deciders_reject_negative_entries(self):
+        swept = 0
+        for length in range(6):
+            for seq in itertools.product(range(-2, 5), repeat=length):
+                closed = is_admissible_closed(seq)
+                assert is_admissible_trace(seq) == closed, seq
+                if min(seq, default=0) < 0:
+                    assert not closed, seq
+                    swept += 1
+        assert swept == 7**5 + 7**4 + 7**3 + 7**2 + 7 - (5**5 + 5**4 + 5**3 + 5**2 + 5)
 
     def test_recording_reducer_agrees_with_boolean_decider(self):
         for seq in all_sequences(5, 13):
