@@ -72,7 +72,7 @@ def cmd_feet_table(args: argparse.Namespace, allow_large: bool) -> int:
         raise ValueError("--max and --level must be nonnegative")
     terms = counting.foot_table_terms(args.level, args.max)
     what = f"feet-table --max {args.max} --level {args.level}"
-    _bound(what, terms, counting.FOOT_TABLE_TERM_CAP, "product terms", allow_large)
+    _bound(what, terms, counting.FOOT_TABLE_TERM_CAP, "packed DP entries", allow_large)
     table = counting.feet_table(args.level, args.max)
     start = 1 if args.level == 0 else 0
     columns = list(range(start, max(args.max, MIN_FEET_COLUMNS) + 1))

@@ -10,6 +10,7 @@ route the tests compare both against.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from itertools import islice, zip_longest
 from operator import mul
@@ -29,10 +30,9 @@ from .frames import (
 # a half-length whose number prints in about a tenth of a second.
 TRANSFER_CELL_CAP = 2_000_000
 CATALAN_CAP = 30_000
-# The foot-table cap is in foot_table_terms; at the cap, feet-table --max 97
-# --level 4 takes about 1 s (2-vCPU VM).  FootTable stores at most
-# max + 2 levels, so the estimate over-charges tall tables: at the cap,
-# --max 0 --level 833332 takes 0.05 s and 16 MB.
+# The foot-table cap is in foot_table_terms, packed DP entries plus one
+# per level: it admits feet-table --max up to 214 (--max 214 --level 4
+# takes about 0.16 s and 30 MB on a 2-vCPU VM) and --level up to 19,999,999.
 FOOT_TABLE_TERM_CAP = 20_000_000
 
 
@@ -61,20 +61,22 @@ class FootTable:
     """Counts of Dyck paths by half-length, level, and number of feet.
 
     count(n, s, j) is the number of Dyck paths of length 2n with exactly
-    j lattice nodes at level s.  Every level comes from one first-return
-    recurrence: a path is a lifted front glued to a shorter path, and its
-    foot polynomial is the front's, taken from the level below, times
-    the rest's.  No path of half-length n has a foot above level n, so
-    levels above max_half_length + 1 are not stored: they repeat the top
-    stored level, rows [C_n, 0, ..., 0].  Querying beyond the built bounds
-    transparently rebuilds a larger table, so grow the table from a
-    single thread and share it read-only after.
+    j lattice nodes at level s.  Every node but the start is entered by
+    one step, so the feet at level s number v(s-1) + v(s), v(k) the up
+    steps across gap k, plus the start node at s = 0.  The transfer DP
+    with weight x on those gaps gives the foot polynomial at x for every
+    half-length in one pass; with x = 2**b > C_max, a row is its base-x
+    digits.  A level is built on first use and cached, and a query past
+    the half-length bound clears the cache and raises the bound, so grow
+    the table from a single thread and share it read-only after.
     """
 
     def __init__(self, max_level: int, max_half_length: int) -> None:
         if max_level < 0 or max_half_length < 0:
             raise ValueError("table bounds must be nonnegative")
-        self._build(max_level, max_half_length)
+        self._max_level = max_level
+        self._max_half_length = max_half_length
+        self._levels: dict[int, list[tuple[int, ...]]] = {}
 
     @property
     def max_level(self) -> int:
@@ -84,51 +86,41 @@ class FootTable:
     def max_half_length(self) -> int:
         return self._max_half_length
 
-    def _build(self, max_level: int, max_half_length: int) -> None:
-        # A path U P D Q, with P of half-length i, has P's feet one level
-        # down plus Q's feet here: a product of polynomials in the foot
-        # count.  At level 0 the lifted front U P D is a single foot, and
-        # the null path has one foot there and none above, so level-0 rows
-        # are one entry longer: n + 2 entries against n + 1.
-        below = [[0, catalan(i)] for i in range(max_half_length)]
-        levels: list[list[list[int]]] = []
-        for s in range(min(max_level, max_half_length + 1) + 1):
-            rows = [[0, 1] if s == 0 else [1]]
-            for n in range(1, max_half_length + 1):
-                row = [0] * (n + len(rows[0]))
-                for i in range(n):
-                    right = rows[n - 1 - i]
-                    for k, left in enumerate(below[i]):
-                        if left:
-                            for m, ways in enumerate(right):
-                                row[k + m] += left * ways
-                rows.append(row)
-            levels.append(rows)
-            below = rows
-        self._levels = levels
-        self._max_level = max_level
-        self._max_half_length = max_half_length
+    def _build(self, level: int) -> list[tuple[int, ...]]:
+        # Level-0 rows are one entry longer, n + 2 against n + 1: the
+        # start node is a foot there, and a factor x counts it.  The
+        # digits are read off the binary text, lowest first.
+        m = self._max_half_length
+        bits = catalan(m).bit_length()
+        x = 1 << bits
+        w = [x if gap in (level - 1, level) else 1 for gap in range(m)]
+        start, width = (x, 2) if level == 0 else (1, 1)
+        totals = islice(_transfer_walk(2 * m, (0,) * (m + 1), w), 0, None, 2)
+        rows = []
+        for n, total in enumerate(totals):
+            digits = format(total * start, f"0{bits * (n + width)}b")
+            ends = range(len(digits), 0, -bits)
+            rows.append(tuple(int(digits[end - bits : end], 2) for end in ends))
+        return rows
 
-    def _row(self, half_length: int, level: int) -> list[int]:
+    def row(self, half_length: int, level: int) -> tuple[int, ...]:
+        """All counts for one length and level, from 0 feet upward."""
         if half_length < 0 or level < 0:
             raise ValueError("arguments must be nonnegative")
-        if half_length > self._max_half_length or level > self._max_level:
-            self._build(
-                max(level, self._max_level),
-                max(half_length, self._max_half_length),
-            )
-        return self._levels[min(level, len(self._levels) - 1)][half_length]
+        if half_length > self._max_half_length:
+            self._max_half_length = half_length
+            self._levels.clear()
+        self._max_level = max(level, self._max_level)
+        if level not in self._levels:
+            self._levels[level] = self._build(level)
+        return self._levels[level][half_length]
 
     def count(self, half_length: int, level: int, feet: int) -> int:
         """Number of Dyck paths of length 2 * half_length with feet nodes at level."""
         if feet < 0:
             raise ValueError("arguments must be nonnegative")
-        row = self._row(half_length, level)
+        row = self.row(half_length, level)
         return row[feet] if feet < len(row) else 0
-
-    def row(self, half_length: int, level: int) -> tuple[int, ...]:
-        """All counts for one length and level, from 0 feet upward."""
-        return tuple(self._row(half_length, level))
 
 
 def feet_level0(max_half_length: int) -> FootTable:
@@ -207,28 +199,35 @@ def transfer_cells(steps: int) -> int:
 
 
 def foot_table_terms(max_level: int, max_half_length: int) -> int:
-    """Work of FootTable(max_level, max_half_length), in polynomial-product terms.
+    """Work of one FootTable level up to max_half_length, plus one per level.
 
-    Each level multiplies about m**4 / 24 pairs of entries, m = max_half_length
-    + 1, and its m rows are charged 24 terms apiece.  Every level up to
-    max_level is charged, although FootTable builds only the first m + 1.
+    A level is one transfer DP over 2 * max_half_length steps, whose
+    cells each hold max_half_length + 2 packed entries; the unit per
+    level asked for keeps a tall table of short rows bounded too.
     """
-    m = max_half_length + 1
-    return (max_level + 1) * (m**4 // 24 + 24 * m)
+    cells = transfer_cells(2 * max_half_length) * (max_half_length + 2)
+    return cells + max_level + 1
 
 
 def _transfer_count(steps: int, h: Sequence[int], w: Sequence[int]) -> int:
-    """Weighted paths of the given length from level 0 back to level 0.
+    """Weighted paths of the given length from level 0 back to level 0."""
+    return deque(_transfer_walk(steps, h, w), maxlen=1)[0]
+
+
+def _transfer_walk(steps: int, h: Sequence[int], w: Sequence[int]) -> Iterator[int]:
+    """Weighted paths from level 0 back to level 0 of each length up to steps.
 
     A flat step at level k weighs h[k], and a rise from level k together
     with the fall that closes it weighs w[k]; these are the Jacobi
     continued-fraction weights of the path generating function (Flajolet
     1980), with w[k] = u[k] * d[k] for colored steps.  row[k] holds the
     weight of the prefixes that end at level k, kept only for levels from
-    which level 0 is still reachable.  h needs steps // 2 + 1 entries
-    and w needs steps // 2.
+    which level 0 is still reachable; a prefix back at level 0 is never
+    dropped, so row[0] after each step is the total for that length.
+    h needs steps // 2 + 1 entries and w needs steps // 2.
     """
     row = [1]
+    yield 1
     for step in range(1, steps + 1):
         top = min(step, steps - step)
         rise = [0, *map(mul, row, w)]
@@ -236,7 +235,7 @@ def _transfer_count(steps: int, h: Sequence[int], w: Sequence[int]) -> int:
         fall = islice(row, 1, None)
         arrivals = zip_longest(rise, flat, fall, fillvalue=0)
         row = [a + b + c for a, b, c in islice(arrivals, top + 1)]
-    return row[0]
+        yield row[0]
 
 
 def _gap_weights(colors: ColorSpec, gaps: int) -> list[int]:
@@ -372,9 +371,7 @@ def count_k_motzkin_by_feet(n: int, k: int, r: int = 1) -> int:
     total = 0
     for j in range(half + 1):
         flat = n - 2 * j
-        highest = j + 1 if k == 0 else j
-        for i in range(highest + 1):
-            paths_ji = table.count(j, k, i)
+        for i, paths_ji in enumerate(table.row(j, k)):
             if paths_ji:
                 total += paths_ji * binomial(flat + i - 1, flat) * r**flat
     return total

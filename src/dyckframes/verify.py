@@ -103,8 +103,8 @@ def run_verification(max_n: int, allow_large: bool = False) -> VerifyReport:
 
     table = counting.feet_table(max_n, max_n)
     for n in range(max_n + 1):
-        listed = list(paths.enumerate_dyck(n, cap=None))
-        census = Counter(frames.frame_of(path).counts for path in listed)
+        walked = paths.enumerate_dyck(n, cap=None)
+        census = Counter(frames.frame_of(path).counts for path in walked)
         formula = list(frames.enumerate_frames(n, cap=None))
 
         if n > 0:
@@ -131,9 +131,12 @@ def run_verification(max_n: int, allow_large: bool = False) -> VerifyReport:
             counting.catalan(n),
             sum(counting.frame_cardinality(fr) for fr in formula),
         )
+        # A path's feet at a level are its frame's entry there.
         mismatched_cells = 0
         for level in range(max_n + 1):
-            tally = Counter(paths.foot_count(path, level) for path in listed)
+            tally: Counter[int] = Counter()
+            for counts, many in census.items():
+                tally[counts[level] if level < len(counts) else 0] += many
             for feet in range(n + 2):
                 if table.count(n, level, feet) != tally.get(feet, 0):
                     mismatched_cells += 1

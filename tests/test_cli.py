@@ -77,6 +77,22 @@ class TestFeetTable:
         # A tall table of one-entry rows is refused too.
         assert cli.counting.foot_table_terms(10**8, 0) > cap
 
+    def test_bound_keeps_every_table_the_quartic_estimate_admitted(self):
+        cap = cli.counting.FOOT_TABLE_TERM_CAP
+        for top in range(148):
+            m = top + 1
+            quartic = m**4 // 24 + 24 * m
+            tallest = cap // quartic - 1
+            assert (tallest + 1) * quartic <= cap < (tallest + 2) * quartic
+            assert cli.counting.foot_table_terms(tallest, top) <= cap
+        assert cli.counting.foot_table_terms(0, 214) <= cap
+        assert cli.counting.foot_table_terms(0, 215) > cap
+
+    def test_tall_table_of_short_rows_is_admitted(self, capsys):
+        argv = ("feet-table", "--max", "0", "--format", "csv")
+        _, expected = run(capsys, *argv, "--level", "1")
+        assert run(capsys, *argv, "--level", "833333") == (0, expected)
+
     def test_levels_above_max_plus_one_repeat(self, capsys):
         argv = ("feet-table", "--max", "3", "--format", "csv")
         _, expected = run(capsys, *argv, "--level", "4")
@@ -399,6 +415,23 @@ class TestVerify:
         code, out = run(capsys, "verify", "--max-n", "3", "--format", "json")
         assert code == 1
         assert {c["name"] for c in json.loads(out)["checks"] if not c["pass"]} == {check}
+
+    def test_foot_table_fault_fails_the_census_check(self, capsys, monkeypatch):
+        original = cli.counting.FootTable.row
+
+        def faulty(table, half_length, level):
+            row = original(table, half_length, level)
+            if (half_length, level) == (2, 1):
+                return (row[0] + 1, *row[1:])
+            return row
+
+        monkeypatch.setattr(cli.counting.FootTable, "row", faulty)
+        code, out = run(capsys, "verify", "--max-n", "3", "--format", "json")
+        assert code == 1
+        failed = {c["name"] for c in json.loads(out)["checks"] if not c["pass"]}
+        # At --max-n 3 the foot-table route of k_motzkin_foot_table reads
+        # half-lengths up to 1 only, so the census check is the one to fail.
+        assert failed == {"foot_table_oracle"}
 
     def test_over_cap_is_refused_before_any_work(self, capsys, monkeypatch):
         monkeypatch.setattr(paths_module, "DYCK_ENUMERATION_CAP", 2)

@@ -37,7 +37,13 @@ from dyckframes import (
     up_steps_per_level,
     weak_compositions,
 )
-from dyckframes.counting import count_by_frames, count_k_motzkin_by_feet
+from dyckframes.counting import (
+    FootTable,
+    _transfer_count,
+    _transfer_walk,
+    count_by_frames,
+    count_k_motzkin_by_feet,
+)
 
 # the reference triangle: rows 0..12 steps, columns 1-ped..6-ped
 LEVEL0_TRIANGLE = [
@@ -85,6 +91,32 @@ def weighted_motzkin_oracle(n: int, h, u, d) -> int:
                 weight *= h[level]
         total += weight
     return total
+
+
+def first_return_levels(max_level: int, max_half_length: int) -> list[list[list[int]]]:
+    """Foot-table rows of levels 0..max_level by first-return decomposition.
+
+    A path U P D Q, with P of half-length i, has P's feet one level down
+    plus Q's feet here: a product of polynomials in the foot count.  At
+    level 0 the lifted front U P D is a single foot, and the null path
+    has one foot there and none above, so level-0 rows are one entry
+    longer.  Every level is built from the one below it.
+    """
+    below = [[0, catalan(i)] for i in range(max_half_length)]
+    levels = []
+    for s in range(max_level + 1):
+        rows = [[0, 1] if s == 0 else [1]]
+        for n in range(1, max_half_length + 1):
+            row = [0] * (n + len(rows[0]))
+            for i in range(n):
+                for k, left in enumerate(below[i]):
+                    if left:
+                        for m, ways in enumerate(rows[n - 1 - i]):
+                            row[k + m] += left * ways
+            rows.append(row)
+        levels.append(rows)
+        below = rows
+    return levels
 
 
 class TestBinomial:
@@ -183,6 +215,48 @@ class TestFeetTable:
         short = feet_table(4, 3)
         for n in range(4):
             assert tall.row(n, 100_000) == short.row(n, 4) == (catalan(n),) + (0,) * n
+
+    def test_matches_first_return_product(self):
+        table = feet_table(42, 40)
+        for level, rows in enumerate(first_return_levels(42, 40)):
+            for n in range(41):
+                assert table.row(n, level) == tuple(rows[n])
+
+    def test_level_above_max_fills_every_bit_of_the_packing(self):
+        # C_97 needs all b bits of one base-2**b digit, so a digit one
+        # bit narrower would carry into the next entry.
+        table = feet_table(98, 97)
+        assert table.row(97, 98) == (catalan(97),) + (0,) * 97
+
+    def test_rows_sum_to_catalan_at_max_97(self):
+        table = feet_table(8, 97)
+        for level in range(9):
+            for n in range(98):
+                assert sum(table.row(n, level)) == catalan(n)
+
+    def test_every_node_is_a_foot_somewhere(self):
+        # A path of length 2n has 2n + 1 nodes, each a foot at its level.
+        table = feet_table(31, 30)
+        for n in range(31):
+            nodes = sum(
+                j * ways
+                for level in range(n + 2)
+                for j, ways in enumerate(table.row(n, level))
+            )
+            assert nodes == (2 * n + 1) * catalan(n)
+
+    def test_max_97_builds_fast(self):
+        start = time.perf_counter()
+        table = FootTable(4, 97)
+        row = table.row(97, 4)
+        assert time.perf_counter() - start < 0.5
+        assert sum(row) == catalan(97)
+
+    def test_transfer_walk_yields_every_length(self):
+        ones = (1,) * 11
+        walked = list(_transfer_walk(20, ones, ones))
+        assert walked == [count_motzkin(steps) for steps in range(21)]
+        assert _transfer_count(20, ones, ones) == walked[-1]
 
     def test_negative_arguments_rejected(self):
         table = feet_table(1, 1)
