@@ -104,7 +104,7 @@ def run_verification(max_n: int, allow_large: bool = False) -> VerifyReport:
     table = counting.feet_table(max_n, max_n)
     for n in range(max_n + 1):
         walked = paths.enumerate_dyck(n, cap=None)
-        census = Counter(frames.frame_of(path).counts for path in walked)
+        census = Counter(frames.frame_of(path) for path in walked)
         formula = list(frames.enumerate_frames(n, cap=None))
 
         if n > 0:
@@ -113,7 +113,7 @@ def run_verification(max_n: int, allow_large: bool = False) -> VerifyReport:
             "frame_set_oracle",
             f"n={n}",
             0,
-            len(set(census) ^ {fr.counts for fr in formula}),
+            len(set(census) ^ set(formula)),
         )
         add(
             "cardinality_oracle",
@@ -122,7 +122,7 @@ def run_verification(max_n: int, allow_large: bool = False) -> VerifyReport:
             sum(
                 1
                 for fr in formula
-                if counting.frame_cardinality(fr) != census.get(fr.counts, 0)
+                if counting.frame_cardinality(fr) != census.get(fr, 0)
             ),
         )
         add(
@@ -135,8 +135,8 @@ def run_verification(max_n: int, allow_large: bool = False) -> VerifyReport:
         mismatched_cells = 0
         for level in range(max_n + 1):
             tally: Counter[int] = Counter()
-            for counts, many in census.items():
-                tally[counts[level] if level < len(counts) else 0] += many
+            for frame, many in census.items():
+                tally[frame.foot_count(level)] += many
             for feet in range(n + 2):
                 if table.count(n, level, feet) != tally.get(feet, 0):
                     mismatched_cells += 1

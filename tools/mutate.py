@@ -1,8 +1,6 @@
 """Mutation smoke test: every listed one-line fault must fail its tests.
 
-    python tools/mutate.py            # run every mutation
-    python tools/mutate.py NAME ...   # run only the named ones
-    python tools/mutate.py --list     # print the names
+    python tools/mutate.py
 
 Each mutation replaces one exact piece of text in one module of a
 temporary copy of src/, then runs the tests that should catch it with
@@ -77,8 +75,8 @@ MUTATIONS = (
     Mutation(
         "verify census read one level off",
         "verify.py",
-        "tally[counts[level] if level",
-        "tally[counts[level - 1] if level",
+        "tally[frame.foot_count(level)]",
+        "tally[frame.foot_count(level - 1)]",
         ("tests/test_cli.py::TestVerify",),
     ),
     Mutation(
@@ -132,26 +130,18 @@ def _fresh_src(workdir: Path) -> None:
     shutil.copytree(ROOT / "src", workdir / "src", ignore=shutil.ignore_patterns("__pycache__"))
 
 
-def main(argv: list[str]) -> int:
-    if argv == ["--list"]:
-        print("\n".join(m.name for m in MUTATIONS))
-        return 0
-    unknown = set(argv) - {m.name for m in MUTATIONS}
-    if unknown:
-        print(f"unknown mutations: {sorted(unknown)}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTATIONS if not argv or m.name in argv]
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         workdir = Path(tmp)
         shutil.copytree(ROOT / "tests", workdir / "tests", ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", workdir)
         _fresh_src(workdir)
-        baseline = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+        baseline = tuple(dict.fromkeys(t for m in MUTATIONS for t in m.tests))
         if not _pytest(workdir, baseline):
             print("the unmutated copy fails its tests", file=sys.stderr)
             return 2
         survivors = []
-        for mutation in chosen:
+        for mutation in MUTATIONS:
             _fresh_src(workdir)
             target = workdir / "src" / "dyckframes" / mutation.module
             text = target.read_text()
@@ -163,9 +153,9 @@ def main(argv: list[str]) -> int:
             print(f"{'caught  ' if caught else 'SURVIVED'}  {mutation.name}")
             if not caught:
                 survivors.append(mutation.name)
-    print(f"{len(chosen) - len(survivors)}/{len(chosen)} mutations caught")
+    print(f"{len(MUTATIONS) - len(survivors)}/{len(MUTATIONS)} mutations caught")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
