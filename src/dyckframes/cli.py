@@ -132,7 +132,9 @@ def cmd_frame(args: argparse.Namespace, allow_large: bool) -> int:
 
 def _colors(text: str | None, flag: str, size: int) -> tuple[int, ...]:
     """The color vector given with flag, or all ones when it is absent."""
-    return frames.parse_counts(text, "color count", flag) if text else (1,) * size
+    if text is None:
+        return (1,) * size
+    return frames.parse_counts(text, "color count", flag)
 
 
 def _bound_transfer(what: str, steps: int, allow_large: bool) -> None:
@@ -211,11 +213,18 @@ def cmd_enumerate(args: argparse.Namespace, allow_large: bool) -> int:
             raise ValueError("--frame filtering only applies to kind dyck")
         if args.with_frame:
             raise ValueError("--with-frame only applies to kind dyck")
+        if args.k is not None and args.k < 0:
+            raise ValueError("--k must be nonnegative")
         cap = None if allow_large else paths.MOTZKIN_ENUMERATION_CAP
         levels = {args.k} if args.k is not None else None
         walk = paths.enumerate_motzkin(args.n, levels, cap=cap)
 
     wanted = frames.parse_frame_text(args.frame) if args.frame is not None else None
+    # Only an admissible frame of length 2n has paths to keep.
+    if wanted is not None and not (
+        frames.is_admissible_closed(wanted) and frames.frame_length(wanted) == 2 * args.n
+    ):
+        walk = iter(())
     framed = wanted is not None or args.with_frame
     rows: list[tuple] = []
     for path in walk:

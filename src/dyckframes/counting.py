@@ -380,7 +380,8 @@ def count_k_motzkin_by_feet(n: int, k: int, r: int = 1) -> int:
 def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All tuples of parts nonnegative integers summing to total.
 
-    First entry descends from total to 0, recursively.  There are
+    The tuples come in descending lexicographic order, so the first
+    entry descends from total to 0.  There are
     binomial(total + parts - 1, total) of them.  Zero parts are allowed
     only for a zero total, which yields the empty composition.
     """
@@ -392,15 +393,22 @@ def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """An odometer: move one unit from the rightmost nonzero entry before
+    the last one step right, and carry the last entry along with it."""
     if parts == 0:
         yield ()
         return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    vec = [total] + [0] * (parts - 1)
+    while True:
+        yield tuple(vec)
+        last, vec[-1] = vec[-1], 0
+        i = parts - 2
+        while i >= 0 and not vec[i]:
+            i -= 1
+        if i < 0:
+            return
+        vec[i] -= 1
+        vec[i + 1] = last + 1
 
 
 def binomial_identity_check(m: int, parts: Sequence[int]) -> bool:

@@ -49,39 +49,16 @@ class VerifyReport:
 def _sequences_up_to(max_len: int, max_sum: int):
     """Every tuple of nonnegative ints with bounded length and entry sum."""
     for length in range(max_len + 1):
-        if length == 0:
-            yield ()
-            continue
-        vec = [0] * length
-        total = 0
-        while True:
-            yield tuple(vec)
-            i = length - 1
-            while i >= 0:
-                if total < max_sum:
-                    vec[i] += 1
-                    total += 1
-                    break
-                total -= vec[i]
-                vec[i] = 0
-                i -= 1
-            else:
-                break
+        for total in range(max_sum + 1 if length else 1):
+            yield from counting.weak_compositions(total, length)
 
 
 def _positive_vectors(max_sum: int):
     """Every nonempty tuple of positive ints with bounded sum."""
-    out: list[tuple[int, ...]] = []
-
-    def grow(prefix: list[int], budget: int) -> None:
-        for value in range(1, budget + 1):
-            prefix.append(value)
-            out.append(tuple(prefix))
-            grow(prefix, budget - value)
-            prefix.pop()
-
-    grow([], max_sum)
-    return out
+    for total in range(1, max_sum + 1):
+        for parts in range(1, total + 1):
+            for spare in counting.weak_compositions(total - parts, parts):
+                yield tuple(value + 1 for value in spare)
 
 
 def run_verification(max_n: int, allow_large: bool = False) -> VerifyReport:

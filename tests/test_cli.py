@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from dyckframes import enumerate_dyck, foot_count
 from dyckframes import cli
 from dyckframes import paths as paths_module
+from dyckframes import verify as verify_module
 from dyckframes.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -218,6 +220,20 @@ class TestCount:
         code, _ = run(capsys, "count", "dyck", "--n", "4", "--colors-u", "2")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("motzkin", "--n", "2", "--colors-h", ""), "--colors-h"),
+            (("dyck", "--n", "2", "--colors-u", ""), "--colors-u"),
+            (("dyck", "--n", "2", "--colors-d", ""), "--colors-d"),
+        ],
+    )
+    def test_empty_color_vector_is_usage_error(self, capsys, argv, flag):
+        assert main(["count", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"bad color count '' in {flag}" in captured.err
+
     def test_motzkin_past_the_frame_cap(self, capsys):
         motzkin = [1, 1]
         for n in range(2, 43):
@@ -347,6 +363,35 @@ class TestEnumerate:
         code, _ = run(capsys, "enumerate", "motzkin", "--n", "3", "--frame", "2,1")
         assert code == 2
 
+    def test_negative_k_is_usage_error(self, capsys):
+        assert main(["enumerate", "motzkin", "--n", "4", "--k", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--k must be nonnegative" in captured.err
+        # Checked before the cap, as count does.
+        assert main(["enumerate", "motzkin", "--n", "100", "--k", "-1"]) == 2
+
+    def test_frame_that_cannot_match_walks_nothing(self, capsys, monkeypatch):
+        calls = []
+        original = cli.frames.frame_of
+        monkeypatch.setattr(cli.frames, "frame_of", lambda p: calls.append(p) or original(p))
+        # 9,9 is not admissible; 2,1 is, but its length 2 is not 6.
+        for frame in ("9,9", "2,1"):
+            code, out = run(
+                capsys, "enumerate", "dyck", "--n", "3", "--frame", frame, "--format", "json"
+            )
+            assert code == 0
+            assert json.loads(out)["count"] == 0
+        assert calls == []
+        # The refusal above the Dyck cap still comes before the frame.
+        assert run(capsys, "enumerate", "dyck", "--n", "17", "--frame", "9,9") == (3, "")
+        assert calls == []
+        code, out = run(
+            capsys, "enumerate", "dyck", "--n", "1", "--frame", "2,1", "--format", "csv"
+        )
+        assert (code, out) == (0, "UD\n")
+        assert len(calls) == 1
+
 
 class TestVerify:
     def test_small_run_passes(self, capsys):
@@ -448,6 +493,24 @@ class TestVerify:
         start = time.perf_counter()
         assert run(capsys, "verify", "--max-n", "17") == (3, "")
         assert time.perf_counter() - start < 0.5
+
+    def test_sweeps_cover_their_domains_once(self):
+        sequences = list(verify_module._sequences_up_to(3, 5))
+        brute = {
+            t
+            for length in range(4)
+            for t in itertools.product(range(6), repeat=length)
+            if sum(t) <= 5
+        }
+        assert len(sequences) == len(set(sequences)) and set(sequences) == brute
+        vectors = list(verify_module._positive_vectors(6))
+        brute = {
+            t
+            for length in range(1, 7)
+            for t in itertools.product(range(1, 7), repeat=length)
+            if sum(t) <= 6
+        }
+        assert len(vectors) == len(set(vectors)) and set(vectors) == brute
 
     def test_injected_fault_fails(self, capsys, monkeypatch):
         original = cli.counting.catalan

@@ -7,6 +7,7 @@ brute-force sums over the path enumerators.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 import tracemalloc
@@ -503,6 +504,23 @@ class TestWeakCompositions:
         seen = list(weak_compositions(5, 3))
         assert len(set(seen)) == len(seen)
         assert all(sum(parts) == 5 and len(parts) == 3 for parts in seen)
+
+    def test_descending_order_matches_product(self):
+        for total in range(7):
+            for parts in range(6):
+                if parts == 0 and total > 0:
+                    continue
+                brute = sorted(
+                    (t for t in itertools.product(range(total + 1), repeat=parts)
+                     if sum(t) == total),
+                    reverse=True,
+                )
+                assert list(weak_compositions(total, parts)) == brute, (total, parts)
+
+    def test_no_depth_limit(self):
+        assert next(weak_compositions(0, 1200)) == (0,) * 1200
+        assert sum(1 for _ in weak_compositions(1, 1200)) == 1200
+        assert binomial_identity_check(1, (1,) * 1200) is True
 
 
 class TestBinomialIdentity:

@@ -35,6 +35,7 @@ class Mutation(NamedTuple):
 
 FEET = "tests/test_counting.py::TestFeetTable"
 FEET_CLI = "tests/test_cli.py::TestFeetTable"
+ENUMERATE_CLI = "tests/test_cli.py::TestEnumerate"
 
 MUTATIONS = (
     Mutation(
@@ -113,6 +114,34 @@ MUTATIONS = (
         "sys.set_int_max_str_digits(digit_limit)",
         "sys.set_int_max_str_digits(0)",
         ("tests/test_cli.py::TestCount::test_counts_print_past_the_int_digit_limit",),
+    ),
+    Mutation(
+        "composition odometer drops the moved unit",
+        "counting.py",
+        "vec[i + 1] = last + 1",
+        "vec[i + 1] = last",
+        ("tests/test_counting.py::TestWeakCompositions",),
+    ),
+    Mutation(
+        "empty color vector read as absent",
+        "cli.py",
+        "if text is None:",
+        "if not text:",
+        ("tests/test_cli.py::TestCount",),
+    ),
+    Mutation(
+        "enumerate accepts a negative --k",
+        "cli.py",
+        "if args.k is not None and args.k < 0:",
+        "if False:",
+        (ENUMERATE_CLI,),
+    ),
+    Mutation(
+        "enumerate walks for a frame that cannot match",
+        "cli.py",
+        "        walk = iter(())",
+        "        pass",
+        (ENUMERATE_CLI,),
     ),
 )
 
