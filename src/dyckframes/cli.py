@@ -13,7 +13,8 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Iterator, Sequence
+from operator import mul
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import counting, frames, paths
 from .errors import DyckFramesError, ResourceLimit
@@ -137,9 +138,9 @@ def _colors(text: str | None, flag: str, size: int) -> tuple[int, ...]:
     return frames.parse_counts(text, "color count", flag)
 
 
-def _bound_transfer(what: str, steps: int, allow_large: bool) -> None:
-    cells = counting.transfer_cells(steps)
-    _bound(what, cells, counting.TRANSFER_CELL_CAP, "DP cells", allow_large)
+def _bound_transfer(what: str, steps: int, weights: Iterable[int], allow_large: bool) -> None:
+    work = counting.transfer_charge(steps, weights)
+    _bound(what, work, counting.TRANSFER_CELL_CAP, "DP cell words", allow_large)
 
 
 def cmd_count(args: argparse.Namespace, allow_large: bool) -> int:
@@ -156,9 +157,11 @@ def cmd_count(args: argparse.Namespace, allow_large: bool) -> int:
             _bound(what, args.n, counting.CATALAN_CAP, "half-length", allow_large)
             value = counting.catalan(args.n)
         else:
-            _bound_transfer(what, 2 * args.n, allow_large)
+            # The bound with no weights keeps the default vectors small.
+            _bound_transfer(what, 2 * args.n, (), allow_large)
             u = _colors(args.colors_u, "--colors-u", args.n)
             d = _colors(args.colors_d, "--colors-d", args.n)
+            _bound_transfer(what, 2 * args.n, map(mul, u[: args.n], d[: args.n]), allow_large)
             doc["colors"] = {"u": list(u), "d": list(d)}
             value = counting.count_colored_dyck(args.n, counting.ColorSpec(u=u, d=d))
     elif args.kind == "k-motzkin":
@@ -175,13 +178,13 @@ def cmd_count(args: argparse.Namespace, allow_large: bool) -> int:
             r = int(args.colors_h)
             if r < 1:
                 raise ValueError("horizontal color count must be at least 1")
-        _bound_transfer(what, args.n, allow_large)
+        _bound_transfer(what, args.n, (r,) if args.k <= args.n // 2 else (), allow_large)
         doc["k"] = args.k
         if r != 1:
             doc["colors"] = {"h": r}
         value = counting.count_k_motzkin(args.n, args.k, r)
     else:  # motzkin
-        _bound_transfer(what, args.n, allow_large)
+        _bound_transfer(what, args.n, (), allow_large)
         if args.colors_h is None and args.colors_u is None and args.colors_d is None:
             value = counting.count_motzkin(args.n)
         else:
@@ -189,6 +192,8 @@ def cmd_count(args: argparse.Namespace, allow_large: bool) -> int:
             h = _colors(args.colors_h, "--colors-h", levels + 1)
             u = _colors(args.colors_u, "--colors-u", levels)
             d = _colors(args.colors_d, "--colors-d", levels)
+            gaps = map(mul, u[:levels], d[:levels])
+            _bound_transfer(what, args.n, (*h[: levels + 1], *gaps), allow_large)
             doc["colors"] = {"h": list(h), "u": list(u), "d": list(d)}
             spec = counting.ColorSpec(h=h, u=u, d=d)
             value = counting.count_colored_motzkin(args.n, spec)

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import islice, zip_longest
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ResourceLimit
 from .frames import (
@@ -25,8 +25,9 @@ from .frames import (
 )
 
 # Size caps the command line applies before a count starts.  The transfer
-# DP cap is in level-by-step cells, which is count_motzkin(2000) or
-# count_colored_dyck(1000), each well under a second; the Catalan cap is
+# DP cap is in level-by-step cells, each charged the 64-bit words of the
+# widest weight (transfer_charge); it admits count_motzkin(2000) or
+# count_colored_dyck(1000), each well under a second.  The Catalan cap is
 # a half-length whose number prints in about a tenth of a second.
 TRANSFER_CELL_CAP = 2_000_000
 CATALAN_CAP = 30_000
@@ -196,6 +197,18 @@ def _require_entries(vec: tuple[int, ...], size: int, name: str) -> None:
 def transfer_cells(steps: int) -> int:
     """Cells the transfer DP visits for paths of the given length, at most."""
     return steps * (steps // 2 + 1)
+
+
+def transfer_charge(steps: int, weights: Iterable[int]) -> int:
+    """transfer_cells(steps) times the 64-bit words of the largest weight.
+
+    Every cell multiplies row entries by weights, so wide weights make
+    each cell dearer.  weights are the ones the DP reads: the flat
+    weights h[k] and the gap weights u[k] * d[k].  The factor is at
+    least 1, so weights below 2**64 are charged just the cells.
+    """
+    widest = max(weights, default=0).bit_length()
+    return transfer_cells(steps) * max(1, -(-widest // 64))
 
 
 def foot_table_terms(max_level: int, max_half_length: int) -> int:

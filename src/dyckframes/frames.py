@@ -15,7 +15,6 @@ any admissible frame.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -105,35 +104,11 @@ def is_admissible_trace(seq: Sequence[int] | "Frame") -> bool:
 
     Repeatedly, a leading 2 is erased, and otherwise 1 is subtracted from
     the first two entries; the sequence is admissible exactly when this
-    reaches (1,).  The walk stops early as soon as an entry would go
-    negative or a leading entry hits 0.  Every step removes 2 from the
-    entry sum, so termination is immediate by that fuel.
+    reaches (1,).  _reduction_ops runs the reduction a level at a time;
+    it works on the entries and their running sum, independently of the
+    up-step recurrence behind is_admissible_closed.
     """
-    counts = trim(seq)
-    for value in counts:
-        if value < 0:
-            return False
-    total = sum(counts)
-    buf = list(counts)
-    buf.append(0)  # virtual entry so the second slot always exists
-    i = 0
-    while total > 0:
-        x = buf[i]
-        if x == 1 and total == 1:
-            return True
-        if x == 2:
-            i += 1
-            total -= 2
-        elif x == 0:
-            return False
-        else:
-            y = buf[i + 1]
-            if y == 0:
-                return False
-            buf[i] = x - 1
-            buf[i + 1] = y - 1
-            total -= 2
-    return False
+    return _reduction_ops(trim(seq)) is not None
 
 
 def is_admissible_closed(seq: Sequence[int] | "Frame") -> bool:
@@ -262,40 +237,33 @@ def _frames(half_length: int) -> Iterator[Frame]:
         stack.append((lift_frame(counts), size + 1))
 
 
-def _reduction_ops(counts: RawSequence) -> list[bool] | None:
-    """Record the reduction of counts down to (1,); None if it gets stuck.
+def _reduction_ops(counts: RawSequence) -> list[int] | None:
+    """Reduce counts to (1,) a level at a time; None if it gets stuck.
 
-    True marks an erased leading 2, False marks a subtraction from the
-    first two entries.  Same rule and same termination argument as
-    is_admissible_trace, which stays separate only to keep the heavily
-    swept boolean check allocation-free.
+    A leading entry x >= 2 takes x - 2 unit subtractions from the first
+    two entries and is then erased as a 2, so the level goes in one move:
+    x - 2 is recorded (the peaks glued at that level), taken from the
+    next entry, and the sum of the entries left drops by 2 * (x - 1).  A
+    leading entry below 2 with more than 1 left is stuck.  A next entry
+    too small to give x - 2 needs no check of its own: it leaves a
+    leading entry below 2 one level later, or a last entry that is not 1.
+    The list records one count per erased level, lowest first.
     """
     for value in counts:
         if value < 0:
             return None
     total = sum(counts)
-    buf = list(counts)
-    buf.append(0)
-    i = 0
-    ops: list[bool] = []
-    while total > 0:
-        x = buf[i]
-        if x == 1 and total == 1:
-            return ops
-        if x == 2:
-            ops.append(True)
-            i += 1
-            total -= 2
-        elif x == 0:
+    ops: list[int] = []
+    taken = 0  # what the level below took from this entry
+    for x in counts:
+        x -= taken
+        if total < 2:
+            return ops if total == 1 and x == 1 else None
+        if x < 2:
             return None
-        else:
-            y = buf[i + 1]
-            if y == 0:
-                return None
-            buf[i] = x - 1
-            buf[i + 1] = y - 1
-            ops.append(False)
-            total -= 2
+        taken = x - 2
+        ops.append(taken)
+        total -= 2 * (x - 1)
     return None
 
 
@@ -311,15 +279,7 @@ def canonical_representative(frame: Frame | Sequence[int]) -> Path:
     ops = _reduction_ops(frame.counts)
     if ops is None:  # unreachable for a validated Frame; kept as a guard
         raise NotAdmissible(f"not reducible to the null frame: {frame.counts!r}")
-    chars: deque[str] = deque()
-    for erased in reversed(ops):
-        if erased:
-            chars.appendleft("U")
-            chars.append("D")
-        else:
-            chars.append("U")
-            chars.append("D")
-    return Path("".join(chars))
+    return Path("U" * len(ops) + "".join("D" + "UD" * k for k in reversed(ops)))
 
 
 def consequences_hold(frame: Frame | Sequence[int]) -> bool:

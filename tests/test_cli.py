@@ -162,6 +162,13 @@ class TestFrame:
         assert doc["length"] == 60002 and doc["cardinality"] == 1
         assert doc["canonical"] == "UD" * 30001
 
+    def test_deepest_frame_at_the_bound(self, capsys):
+        code, out = run(capsys, "frame", "2," * 29_999 + "1", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["degree"] == 29_999 and doc["cardinality"] == 1
+        assert doc["canonical"] == "U" * 29_999 + "D" * 29_999
+
 
 class TestCount:
     def test_dyck(self, capsys):
@@ -256,6 +263,58 @@ class TestCount:
         code, out = run(capsys, "count", *argv)
         assert code == 3 and out == ""
         assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("k-motzkin", "--n", "400", "--k", "0", "--colors-h", "9" * 2000),
+            ("dyck", "--n", "200", "--colors-u", "9" * 2000 + ",1" * 199),
+        ],
+        ids=["k-motzkin", "dyck"],
+    )
+    def test_wide_colors_are_charged_up_front(self, capsys, argv):
+        start = time.perf_counter()
+        code, out = run(capsys, "count", *argv)
+        assert code == 3 and out == ""
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize(
+        "argv, narrow, wide, count",
+        [
+            (
+                "k-motzkin --n 6 --k 0 --colors-h {0}",
+                2**64 - 1,
+                2**64,
+                lambda x: cli.counting.count_k_motzkin(6, 0, x),
+            ),
+            (
+                "motzkin --n 6 --colors-h 1,{0},1,1",
+                2**64 - 1,
+                2**64,
+                lambda x: cli.counting.count_colored_motzkin(
+                    6, cli.counting.ColorSpec(h=(1, x, 1, 1), u=(1,) * 3, d=(1,) * 3)
+                ),
+            ),
+            (  # a gap weighs u * d, which passes 64 bits before either does
+                "dyck --n 3 --colors-u 1,{0},1 --colors-d 1,{0},1",
+                2**32 - 1,
+                2**32,
+                lambda x: cli.counting.count_colored_dyck(
+                    3, cli.counting.ColorSpec(u=(1, x, 1), d=(1, x, 1))
+                ),
+            ),
+        ],
+        ids=["k-motzkin", "motzkin", "dyck"],
+    )
+    def test_allow_large_lifts_the_weight_charge(
+        self, capsys, monkeypatch, argv, narrow, wide, count
+    ):
+        monkeypatch.setattr(cli.counting, "TRANSFER_CELL_CAP", cli.counting.transfer_cells(6))
+        for x, code in ((narrow, 0), (wide, 3)):
+            out = f"{count(x)}\n" if code == 0 else ""
+            argv_x = ["count", *argv.format(x).split(), "--format", "csv"]
+            assert run(capsys, *argv_x) == (code, out)
+            assert run(capsys, *argv_x, "--allow-large") == (0, f"{count(x)}\n")
 
     def test_allow_large_lifts_the_count_bounds(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.counting, "TRANSFER_CELL_CAP", 10)

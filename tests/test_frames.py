@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
@@ -47,6 +47,47 @@ def all_sequences(max_len, max_sum):
                 continue
             for v in range(max_sum - sum(prefix), -1, -1):
                 stack.append(prefix + (v,))
+
+
+def unit_step_levels(counts):
+    """The paper's reduction one unit step at a time: erase a leading 2,
+    else take 1 from the first two entries.  Returns how many
+    subtractions come before each erase, or None when it gets stuck."""
+    if any(value < 0 for value in counts):
+        return None
+    total = sum(counts)
+    buf = [*counts, 0]
+    i = run = 0
+    levels = []
+    while total > 0:
+        x = buf[i]
+        if x == 1 and total == 1:
+            return levels
+        if x == 2:
+            levels.append(run)
+            run = 0
+            i += 1
+        elif x == 0 or buf[i + 1] == 0:
+            return None
+        else:
+            buf[i] -= 1
+            buf[i + 1] -= 1
+            run += 1
+        total -= 2
+    return None
+
+
+def replay(levels):
+    """Replay the unit steps backwards on a path, last step first: an
+    erased 2 is a lifting, a subtraction a peak glued onto the end."""
+    chars = deque()
+    for erased in reversed([op for run in levels for op in [False] * run + [True]]):
+        if erased:
+            chars.appendleft("U")
+        else:
+            chars.append("U")
+        chars.append("D")
+    return "".join(chars)
 
 
 class TestFrameOf:
@@ -156,6 +197,11 @@ class TestAdmissibility:
         for seq in all_sequences(5, 13):
             assert (_reduction_ops(seq) is not None) == is_admissible_trace(seq), seq
 
+    def test_level_reducer_matches_unit_steps(self):
+        for length in range(6):
+            for seq in itertools.product(range(-2, 7), repeat=length):
+                assert _reduction_ops(seq) == unit_step_levels(seq), seq
+
 
 class TestFrameType:
     def test_trailing_zeros_normalized(self):
@@ -219,6 +265,11 @@ class TestCanonicalRepresentative:
     def test_inadmissible_rejected(self):
         with pytest.raises(NotAdmissible):
             canonical_representative((4, 5, 2, 3, 1))
+
+    def test_matches_the_unit_step_replay(self):
+        for n in range(13):
+            for fr in enumerate_frames(n):
+                assert canonical_representative(fr).text == replay(unit_step_levels(fr.counts))
 
     def test_round_trip_up_to_length_24(self):
         for n in range(13):

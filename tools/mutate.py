@@ -36,6 +36,7 @@ class Mutation(NamedTuple):
 FEET = "tests/test_counting.py::TestFeetTable"
 FEET_CLI = "tests/test_cli.py::TestFeetTable"
 ENUMERATE_CLI = "tests/test_cli.py::TestEnumerate"
+ADMISSIBILITY = "tests/test_frames.py::TestAdmissibility"
 
 MUTATIONS = (
     Mutation(
@@ -85,7 +86,7 @@ MUTATIONS = (
         "frames.py",
         "return bool(counts) and counts[-1] == ups",
         "return bool(counts) and counts[-1] >= ups",
-        ("tests/test_frames.py::TestAdmissibility",),
+        (ADMISSIBILITY,),
     ),
     Mutation(
         "frame cardinality binomial index",
@@ -142,6 +143,41 @@ MUTATIONS = (
         "        walk = iter(())",
         "        pass",
         (ENUMERATE_CLI,),
+    ),
+    Mutation(
+        "reducer erases a leading 1",
+        "frames.py",
+        "        if x < 2:",
+        "        if x < 1:",
+        (ADMISSIBILITY,),
+    ),
+    Mutation(
+        "reducer accepts any last entry",
+        "frames.py",
+        "return ops if total == 1 and x == 1 else None",
+        "return ops if total == 1 else None",
+        (ADMISSIBILITY,),
+    ),
+    Mutation(
+        "canonical replay lowest level first",
+        "frames.py",
+        "for k in reversed(ops)",
+        "for k in ops",
+        ("tests/test_frames.py::TestCanonicalRepresentative",),
+    ),
+    Mutation(
+        "transfer charge ignores the weight width",
+        "counting.py",
+        "max(1, -(-widest // 64))",
+        "1",
+        ("tests/test_cli.py::TestCount",),
+    ),
+    Mutation(
+        "frame and color entries accept any Unicode digit",
+        "frames.py",
+        'ASCII_DIGITS = re.compile("[0-9]+")',
+        'ASCII_DIGITS = re.compile(r"\\d+")',
+        ("tests/test_cli.py::TestCount::test_non_ascii_digits_are_usage_errors",),
     ),
 )
 
