@@ -4,7 +4,8 @@ renders through one function as aligned text, csv, or a single json
 document, deterministically.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 work over a size cap, refused before it starts.
+3 work over a size cap, refused before it starts, or a size too large
+to represent under --allow-large.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from operator import mul
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import counting, frames, paths
@@ -42,21 +43,23 @@ def _align(rows: list[list]) -> list[str]:
     ]
 
 
-def _emit(fmt: str, doc: dict, rows: list[Sequence], table: list[str] | None = None) -> None:
+def _emit(fmt: str, doc: dict, rows: Iterable[Sequence], table: list[str] | None = None) -> None:
     """Print a command's output: json prints doc, csv joins each row with
     commas, table prints the table lines if given, else each row joined
-    by two spaces.  Nothing prints when there are no lines.  A doc value
-    may be an iterator, listed only when json prints it."""
+    by two spaces.  csv and table rows print in chunks as rows yields
+    them.  A doc value may be an iterator, listed only when json prints
+    it."""
     if fmt == "json":
-        lines = [json.dumps(doc, default=list)]
+        lines: Iterable[str] = [json.dumps(doc, default=list)]
     elif fmt == "csv":
-        lines = [",".join(map(str, row)) for row in rows]
+        lines = (",".join(map(str, row)) for row in rows)
     elif table is not None:
         lines = table
     else:
-        lines = ["  ".join(map(str, row)) for row in rows]
-    if lines:
-        print("\n".join(lines))
+        lines = ("  ".join(map(str, row)) for row in rows)
+    lines = iter(lines)
+    while chunk := list(islice(lines, 4096)):  # one write per chunk, not per line
+        print("\n".join(chunk))
 
 
 def _bound(what: str, work: int, cap: int, unit: str, allow_large: bool) -> None:
@@ -138,11 +141,6 @@ def _colors(text: str | None, flag: str, size: int) -> tuple[int, ...]:
     return frames.parse_counts(text, "color count", flag)
 
 
-def _bound_transfer(what: str, steps: int, weights: Iterable[int], allow_large: bool) -> None:
-    work = counting.transfer_charge(steps, weights)
-    _bound(what, work, counting.TRANSFER_CELL_CAP, "DP cell words", allow_large)
-
-
 def cmd_count(args: argparse.Namespace, allow_large: bool) -> int:
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
@@ -150,20 +148,16 @@ def cmd_count(args: argparse.Namespace, allow_large: bool) -> int:
     what = f"count {args.kind} --n {args.n}"
     if args.kind != "k-motzkin" and args.k is not None:
         raise ValueError("--k only applies to kind k-motzkin")
+    steps = args.n
     if args.kind == "dyck":
         if args.colors_h is not None:
             raise ValueError("horizontal colors do not apply to kind dyck")
         if args.colors_u is None and args.colors_d is None:
             _bound(what, args.n, counting.CATALAN_CAP, "half-length", allow_large)
-            value = counting.catalan(args.n)
-        else:
-            # The bound with no weights keeps the default vectors small.
-            _bound_transfer(what, 2 * args.n, (), allow_large)
-            u = _colors(args.colors_u, "--colors-u", args.n)
-            d = _colors(args.colors_d, "--colors-d", args.n)
-            _bound_transfer(what, 2 * args.n, map(mul, u[: args.n], d[: args.n]), allow_large)
-            doc["colors"] = {"u": list(u), "d": list(d)}
-            value = counting.count_colored_dyck(args.n, counting.ColorSpec(u=u, d=d))
+            doc["count"] = counting.catalan(args.n)
+            _emit(args.format, doc, [[doc["count"]]])
+            return EXIT_OK
+        steps = 2 * args.n
     elif args.kind == "k-motzkin":
         if args.k is None:
             raise ValueError("kind k-motzkin requires --k")
@@ -178,27 +172,32 @@ def cmd_count(args: argparse.Namespace, allow_large: bool) -> int:
             r = int(args.colors_h)
             if r < 1:
                 raise ValueError("horizontal color count must be at least 1")
-        _bound_transfer(what, args.n, (r,) if args.k <= args.n // 2 else (), allow_large)
         doc["k"] = args.k
         if r != 1:
             doc["colors"] = {"h": r}
-        value = counting.count_k_motzkin(args.n, args.k, r)
+    # Bound the cells before any color vector is built, then charge the
+    # weights of the one ColorSpec that is counted.
+    cells = counting.transfer_cells(steps)
+    _bound(what, cells, counting.TRANSFER_CELL_CAP, "DP cell words", allow_large)
+    levels = steps // 2
+    if args.kind == "k-motzkin":
+        spec = counting.k_motzkin_colors(args.n, args.k, r)
+    elif args.kind == "dyck":
+        u = _colors(args.colors_u, "--colors-u", levels)
+        d = _colors(args.colors_d, "--colors-d", levels)
+        doc["colors"] = {"u": list(u), "d": list(d)}
+        spec = counting.ColorSpec((0,) * (levels + 1), u, d)
     else:  # motzkin
-        _bound_transfer(what, args.n, (), allow_large)
-        if args.colors_h is None and args.colors_u is None and args.colors_d is None:
-            value = counting.count_motzkin(args.n)
-        else:
-            levels = args.n // 2
-            h = _colors(args.colors_h, "--colors-h", levels + 1)
-            u = _colors(args.colors_u, "--colors-u", levels)
-            d = _colors(args.colors_d, "--colors-d", levels)
-            gaps = map(mul, u[:levels], d[:levels])
-            _bound_transfer(what, args.n, (*h[: levels + 1], *gaps), allow_large)
+        h = _colors(args.colors_h, "--colors-h", levels + 1)
+        u = _colors(args.colors_u, "--colors-u", levels)
+        d = _colors(args.colors_d, "--colors-d", levels)
+        if (args.colors_h, args.colors_u, args.colors_d) != (None, None, None):
             doc["colors"] = {"h": list(h), "u": list(u), "d": list(d)}
-            spec = counting.ColorSpec(h=h, u=u, d=d)
-            value = counting.count_colored_motzkin(args.n, spec)
-    doc["count"] = value
-    _emit(args.format, doc, [[value]])
+        spec = counting.ColorSpec(h, u, d)
+    charge = counting.transfer_charge(steps, spec)
+    _bound(what, charge, counting.TRANSFER_CELL_CAP, "DP cell words", allow_large)
+    doc["count"] = counting.count_colored_motzkin(steps, spec)
+    _emit(args.format, doc, [[doc["count"]]])
     return EXIT_OK
 
 
@@ -230,25 +229,15 @@ def cmd_enumerate(args: argparse.Namespace, allow_large: bool) -> int:
         frames.is_admissible_closed(wanted) and frames.frame_length(wanted) == 2 * args.n
     ):
         walk = iter(())
-    framed = wanted is not None or args.with_frame
-    rows: list[tuple] = []
-    for path in walk:
-        counts = frames.frame_of(path).counts if framed else None
-        if wanted is not None and counts != wanted:
-            continue
-        rows.append((path.text, *counts) if args.with_frame else (path.text,))
-
-    if args.with_frame:
-        listed: Iterator = ({"path": row[0], "frame": list(row[1:])} for row in rows)
-    else:
-        listed = (row[0] for row in rows)
-    doc = {
-        "command": "enumerate",
-        "kind": args.kind,
-        "n": args.n,
-        "count": len(rows),
-        "paths": listed,
-    }
+    kept = (p for p in walk if wanted is None or frames.frame_of(p).counts == wanted)
+    rows: Iterable[tuple] = (
+        (p.text, *frames.frame_of(p).counts) if args.with_frame else (p.text,) for p in kept
+    )
+    doc: dict = {"command": "enumerate", "kind": args.kind, "n": args.n}
+    if args.format == "json":  # the count comes before the paths
+        rows = list(rows)
+        listed = ({"path": r[0], "frame": list(r[1:])} if args.with_frame else r[0] for r in rows)
+        doc.update(count=len(rows), paths=listed)
     if args.frame is not None:
         doc["frame"] = list(wanted or ())
     if args.k is not None:
@@ -365,6 +354,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return handler(args, allow_large)
     except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE_LIMIT
+    except (OverflowError, MemoryError) as exc:
+        # A size can pass every cap under --allow-large and still not fit.
+        print(f"error: {args.command}: too large to represent ({exc!r})", file=sys.stderr)
         return EXIT_RESOURCE_LIMIT
     except (DyckFramesError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import islice, zip_longest
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import ResourceLimit
 from .frames import (
@@ -199,15 +199,16 @@ def transfer_cells(steps: int) -> int:
     return steps * (steps // 2 + 1)
 
 
-def transfer_charge(steps: int, weights: Iterable[int]) -> int:
+def transfer_charge(steps: int, colors: ColorSpec) -> int:
     """transfer_cells(steps) times the 64-bit words of the largest weight.
 
-    Every cell multiplies row entries by weights, so wide weights make
-    each cell dearer.  weights are the ones the DP reads: the flat
-    weights h[k] and the gap weights u[k] * d[k].  The factor is at
-    least 1, so weights below 2**64 are charged just the cells.
+    Every cell multiplies row entries by the Jacobi weights of colors,
+    so wide weights make each cell dearer.  The factor is at least 1, so
+    weights below 2**64 are charged just the cells.  A color vector too
+    short for the length raises ValueError, as the count would.
     """
-    widest = max(weights, default=0).bit_length()
+    h, w = _jacobi_weights(steps, colors)
+    widest = max((*h, *w)).bit_length()
     return transfer_cells(steps) * max(1, -(-widest // 64))
 
 
@@ -251,8 +252,14 @@ def _transfer_walk(steps: int, h: Sequence[int], w: Sequence[int]) -> Iterator[i
         yield row[0]
 
 
-def _gap_weights(colors: ColorSpec, gaps: int) -> list[int]:
-    return [colors.u[k] * colors.d[k] for k in range(gaps)]
+def _jacobi_weights(n: int, colors: ColorSpec) -> tuple[tuple[int, ...], list[int]]:
+    """The weights the transfer DP reads for paths of length n: h[k] for
+    the levels up to n // 2 and u[k] * d[k] for the gaps below it."""
+    levels = n // 2
+    _require_entries(colors.h, levels + 1, "colors.h")
+    _require_entries(colors.u, levels, "colors.u")
+    _require_entries(colors.d, levels, "colors.d")
+    return colors.h[: levels + 1], list(map(mul, colors.u[:levels], colors.d[:levels]))
 
 
 def count_colored_dyck(n: int, colors: ColorSpec) -> int:
@@ -263,11 +270,17 @@ def count_colored_dyck(n: int, colors: ColorSpec) -> int:
     reduce this to the Catalan number; count_by_frames is the second
     route.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    _require_entries(colors.u, n, "colors.u")
-    _require_entries(colors.d, n, "colors.d")
-    return _transfer_count(2 * n, (0,) * (n + 1), _gap_weights(colors, n))
+    return count_colored_motzkin(2 * n, ColorSpec((0,) * (n + 1), colors.u, colors.d))
+
+
+def k_motzkin_colors(n: int, k: int, r: int = 1) -> ColorSpec:
+    """Colors of the level-k Motzkin paths of length n: h is r at level
+    k, if k <= n // 2, and 0 elsewhere, and every gap weighs 1.  The
+    vectors are repeated tuples, so a length too large to hold raises
+    OverflowError or MemoryError at once."""
+    levels = n // 2
+    h = (0,) * (levels + 1) if k > levels else (0,) * k + (r,) + (0,) * (levels - k)
+    return ColorSpec(h, (1,) * levels, (1,) * levels)
 
 
 def count_k_motzkin(n: int, k: int, r: int = 1) -> int:
@@ -281,18 +294,13 @@ def count_k_motzkin(n: int, k: int, r: int = 1) -> int:
         raise ValueError("n and k must be nonnegative")
     if r < 1:
         raise ValueError("r must be at least 1")
-    levels = n // 2
-    h = [0] * (levels + 1)
-    if k <= levels:
-        h[k] = r
-    return _transfer_count(n, h, (1,) * levels)
+    return count_colored_motzkin(n, k_motzkin_colors(n, k, r))
 
 
 def count_motzkin(n: int) -> int:
     """The n-th Motzkin number: paths weighted 1 on every step."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return _transfer_count(n, (1,) * (n // 2 + 1), (1,) * (n // 2))
+    levels = n // 2
+    return count_colored_motzkin(n, ColorSpec((1,) * (levels + 1), (1,) * levels, (1,) * levels))
 
 
 def count_colored_motzkin(n: int, colors: ColorSpec) -> int:
@@ -300,15 +308,12 @@ def count_colored_motzkin(n: int, colors: ColorSpec) -> int:
 
     A horizontal step at level k has h[k] colors, and a rise across gap
     k with the fall that closes it has u[k] * d[k]; zero colors forbid
-    the step.  count_by_frames is the second route.
+    the step.  Every path count here is this one on its own ColorSpec;
+    count_by_frames is the second route.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    levels = n // 2
-    _require_entries(colors.h, levels + 1, "colors.h")
-    _require_entries(colors.u, levels, "colors.u")
-    _require_entries(colors.d, levels, "colors.d")
-    return _transfer_count(n, colors.h[: levels + 1], _gap_weights(colors, levels))
+    return _transfer_count(n, *_jacobi_weights(n, colors))
 
 
 def _frame_weight(frame: Frame, colors: ColorSpec) -> int:

@@ -9,6 +9,7 @@ import math
 import os
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -24,6 +25,7 @@ from dyckframes import verify as verify_module
 from dyckframes.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+HUGE = "99999999999999999999"  # past sys.maxsize, so no sequence can have this length
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -279,6 +281,19 @@ class TestCount:
         assert time.perf_counter() - start < 0.5
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("dyck", "--n", "200", "--colors-u", "9" * 2000), "colors.u needs at least 200"),
+            (("motzkin", "--n", "400", "--colors-h", "9" * 2000), "colors.h needs at least 201"),
+        ],
+        ids=["dyck", "motzkin"],
+    )
+    def test_short_vector_is_usage_error_even_when_wide(self, capsys, argv, message):
+        assert main(["count", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    @pytest.mark.parametrize(
         "argv, narrow, wide, count",
         [
             (
@@ -429,6 +444,19 @@ class TestEnumerate:
         assert "--k must be nonnegative" in captured.err
         # Checked before the cap, as count does.
         assert main(["enumerate", "motzkin", "--n", "100", "--k", "-1"]) == 2
+
+    def test_csv_rows_stream(self, monkeypatch):
+        # 208,012 rows: held in a list they would take tens of megabytes.
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                code = main(["enumerate", "dyck", "--n", "12", "--format", "csv"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 5 * 2**20
 
     def test_frame_that_cannot_match_walks_nothing(self, capsys, monkeypatch):
         calls = []
@@ -581,6 +609,39 @@ class TestVerify:
 
 
 class TestHarness:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "motzkin", "--n", HUGE),
+            ("count", "dyck", "--n", HUGE, "--colors-u", "2"),
+            ("count", "k-motzkin", "--n", HUGE, "--k", "1"),
+            ("feet-table", "--max", HUGE),
+            ("frame", f"{HUGE},{int(HUGE) - 1}"),
+            ("verify", "--max-n", HUGE),
+        ],
+        ids=lambda argv: argv[0] if argv[0] != "count" else f"count-{argv[1]}",
+    )
+    def test_sizes_too_large_to_represent_are_resource_limits(self, capsys, argv):
+        start = time.perf_counter()
+        code = main([*argv, "--allow-large"])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 1
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    def test_out_of_memory_is_a_resource_limit(self, capsys, monkeypatch):
+        # An n that fits an index but not in memory; the vectors are not
+        # built for real, only their MemoryError is raised.
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.counting, "k_motzkin_colors", out_of_memory)
+        code = main(["count", "k-motzkin", "--n", "1000000000000", "--k", "1", "--allow-large"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()

@@ -44,6 +44,8 @@ from dyckframes.counting import (
     _transfer_walk,
     count_by_frames,
     count_k_motzkin_by_feet,
+    transfer_cells,
+    transfer_charge,
 )
 
 # the reference triangle: rows 0..12 steps, columns 1-ped..6-ped
@@ -445,6 +447,25 @@ class TestColoredMotzkin:
     def test_negative_colors_rejected(self):
         with pytest.raises(ValueError):
             ColorSpec(h=(-1,))
+
+
+class TestTransferCharge:
+    def test_gap_product_sets_the_width(self):
+        # u and d fit in 64 bits on their own; their product on gap 1 does not.
+        spec = ColorSpec(h=(1, 3, 1, 1), u=(1, 2**40, 1), d=(5, 2**40, 1))
+        assert transfer_charge(6, spec) == 2 * transfer_cells(6)
+        narrow = ColorSpec(h=spec.h, u=(1, 2**40, 1), d=(5, 2**23, 1))
+        assert transfer_charge(6, narrow) == transfer_cells(6)
+
+    def test_reads_only_the_weights_the_dp_reads(self):
+        # Entries past n // 2 levels and gaps are never multiplied in.
+        spec = ColorSpec(h=(1, 1, 2**64), u=(1, 2**64), d=(1, 1))
+        assert transfer_charge(2, spec) == transfer_cells(2)
+        assert transfer_charge(4, spec) == 2 * transfer_cells(4)
+
+    def test_short_vector_rejected(self):
+        with pytest.raises(ValueError, match="colors.u needs at least 3 entries"):
+            transfer_charge(6, ColorSpec(h=(1,) * 4, u=(2**100,), d=(1,) * 3))
 
 
 class TestFrameSum:

@@ -179,6 +179,35 @@ MUTATIONS = (
         'ASCII_DIGITS = re.compile(r"\\d+")',
         ("tests/test_cli.py::TestCount::test_non_ascii_digits_are_usage_errors",),
     ),
+    Mutation(
+        "gap weight without the down colors",
+        "counting.py",
+        "list(map(mul, colors.u[:levels], colors.d[:levels]))",
+        "list(colors.u[:levels])",
+        ("tests/test_counting.py::TestColoredMotzkin",
+         "tests/test_counting.py::TestTransferCharge"),
+    ),
+    Mutation(
+        "count builds the color vectors with no cell bound first",
+        "cli.py",
+        '    _bound(what, cells, counting.TRANSFER_CELL_CAP, "DP cell words", allow_large)\n',
+        "",
+        ("tests/test_cli.py::TestCount::test_over_bound_is_refused_up_front",),
+    ),
+    Mutation(
+        "sizes too large to represent end in a traceback",
+        "cli.py",
+        "except (OverflowError, MemoryError) as exc:",
+        "except () as exc:",
+        ("tests/test_cli.py::TestHarness::test_sizes_too_large_to_represent_are_resource_limits",),
+    ),
+    Mutation(
+        "csv rows gathered into a list before printing",
+        "cli.py",
+        'lines = (",".join(map(str, row)) for row in rows)',
+        'lines = [",".join(map(str, row)) for row in rows]',
+        ("tests/test_cli.py::TestEnumerate::test_csv_rows_stream",),
+    ),
 )
 
 
