@@ -3,9 +3,10 @@ and the self-verification harness of the verify module.  Every command
 renders through one function as aligned text, csv, or a single json
 document, deterministically.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 work over a size cap, refused before it starts, or a size too large
-to represent under --allow-large.
+Exit codes: 0 success, 1 verification failure (a failed verify check,
+or an enumerate whose paths do not number its closed-form count), 2
+usage or parse error, 3 work over a size cap, refused before it starts,
+or a size too large to represent under --allow-large.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
+from itertools import count, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import counting, frames, paths
@@ -46,20 +47,42 @@ def _align(rows: list[list]) -> list[str]:
 def _emit(fmt: str, doc: dict, rows: Iterable[Sequence], table: list[str] | None = None) -> None:
     """Print a command's output: json prints doc, csv joins each row with
     commas, table prints the table lines if given, else each row joined
-    by two spaces.  csv and table rows print in chunks as rows yields
-    them.  A doc value may be an iterator, listed only when json prints
-    it."""
+    by two spaces.  Rows print in chunks as rows yields them.  A doc
+    value may be an iterator, which json writes as an array in the same
+    chunks, byte for byte as json.dumps(doc, default=list) would."""
     if fmt == "json":
-        lines: Iterable[str] = [json.dumps(doc, default=list)]
-    elif fmt == "csv":
+        sys.stdout.writelines(_json_pieces(doc))
+        return
+    lines: Iterable[str]
+    if fmt == "csv":
         lines = (",".join(map(str, row)) for row in rows)
     elif table is not None:
         lines = table
     else:
         lines = ("  ".join(map(str, row)) for row in rows)
-    lines = iter(lines)
-    while chunk := list(islice(lines, 4096)):  # one write per chunk, not per line
+    for chunk in _chunks(lines):  # one write per chunk, not per line
         print("\n".join(chunk))
+
+
+def _chunks(items: Iterable) -> Iterator[list]:
+    """Lists of the next 4,096 items, until items runs out."""
+    items = iter(items)
+    return iter(lambda: list(islice(items, 4096)), [])
+
+
+def _json_pieces(doc: dict) -> Iterator[str]:
+    """The line json.dumps(doc, default=list) prints, in pieces."""
+    yield "{"
+    for i, (key, value) in enumerate(doc.items()):
+        yield f"{', ' if i else ''}{json.dumps(key)}: "
+        if isinstance(value, Iterator):
+            yield "["
+            for j, chunk in enumerate(_chunks(value)):
+                yield (", " if j else "") + json.dumps(chunk, default=list)[1:-1]
+            yield "]"
+        else:
+            yield json.dumps(value, default=list)
+    yield "}\n"
 
 
 def _bound(what: str, work: int, cap: int, unit: str, allow_large: bool) -> None:
@@ -224,25 +247,41 @@ def cmd_enumerate(args: argparse.Namespace, allow_large: bool) -> int:
         walk = paths.enumerate_motzkin(args.n, levels, cap=cap)
 
     wanted = frames.parse_frame_text(args.frame) if args.frame is not None else None
-    # Only an admissible frame of length 2n has paths to keep.
-    if wanted is not None and not (
-        frames.is_admissible_closed(wanted) and frames.frame_length(wanted) == 2 * args.n
-    ):
-        walk = iter(())
+    if wanted is None:
+        if args.kind == "dyck":
+            total = counting.catalan(args.n)
+        elif args.k is None:
+            total = counting.count_motzkin(args.n)
+        else:
+            total = counting.count_k_motzkin(args.n, args.k)
+    # Only an admissible frame of length 2n has paths: its class, walked directly.
+    elif frames.is_admissible_closed(wanted) and frames.frame_length(wanted) == 2 * args.n:
+        walk, total = frames.frame_class(wanted), counting.frame_cardinality(wanted)
+    else:
+        walk, total = iter(()), 0
     kept = (p for p in walk if wanted is None or frames.frame_of(p).counts == wanted)
+    printed = count()  # zip draws one number per path kept
     rows: Iterable[tuple] = (
-        (p.text, *frames.frame_of(p).counts) if args.with_frame else (p.text,) for p in kept
+        (p.text, *frames.frame_of(p).counts) if args.with_frame else (p.text,)
+        for p, _ in zip(kept, printed)
     )
     doc: dict = {"command": "enumerate", "kind": args.kind, "n": args.n}
     if args.format == "json":  # the count comes before the paths
-        rows = list(rows)
         listed = ({"path": r[0], "frame": list(r[1:])} if args.with_frame else r[0] for r in rows)
-        doc.update(count=len(rows), paths=listed)
+        doc.update(count=total, paths=listed)
     if args.frame is not None:
         doc["frame"] = list(wanted or ())
     if args.k is not None:
         doc["k"] = args.k
     _emit(args.format, doc, rows)
+    shown = next(printed)
+    if shown != total:
+        print(
+            f"error: enumerate {args.kind} --n {args.n}: printed {shown} paths, "
+            f"but the closed form counts {total}",
+            file=sys.stderr,
+        )
+        return EXIT_VERIFY_FAILED
     return EXIT_OK
 
 

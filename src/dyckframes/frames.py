@@ -8,8 +8,8 @@ does to its frame), adding 1 to the first two entries (gluing a single
 peak onto the end), and their two inverses.  A sequence is admissible
 when it is the frame of at least one path; this module decides that by
 two independent methods (the reduction itself and a closed test on the
-up steps per level) and builds the canonical representative path of
-any admissible frame.
+up steps per level), builds the canonical representative path of any
+admissible frame, and walks the class of paths that have that frame.
 """
 
 from __future__ import annotations
@@ -235,6 +235,60 @@ def _frames(half_length: int) -> Iterator[Frame]:
         if counts != (1,):  # both children of the null frame are (2, 1)
             stack.append((extend_frame(counts), size + 1))
         stack.append((lift_frame(counts), size + 1))
+
+
+def frame_class(frame: Frame | Sequence[int]) -> Iterator[Path]:
+    """Yield every Dyck path whose frame is the given one, exactly once.
+
+    Paths come out in lexicographic order with U before D, as from
+    paths.enumerate_dyck, and there are counting.frame_cardinality of
+    them.  Raises NotAdmissible at once for a sequence that is not a
+    frame.
+    """
+    frame = ensure_frame(frame)
+    return _class_paths(frame.counts, frame.length)
+
+
+def _class_paths(counts: RawSequence, length: int) -> Iterator[Path]:
+    """A depth-first walk that carries the nodes left at each level,
+    starting with the start node taken, and takes a step only if a path
+    can still finish from there (_can_finish).  So no branch dead-ends,
+    and each path costs O(n * f) for length 2n and degree f.  D is
+    pushed before U so that U pops first."""
+    stack = [("", 0, (counts[0] - 1,) + counts[1:])]
+    while stack:
+        prefix, level, left = stack.pop()
+        if len(prefix) == length:
+            yield Path(prefix)
+            continue
+        for step, to in (("D", level - 1), ("U", level + 1)):
+            if 0 <= to < len(left) and left[to]:
+                rest = left[:to] + (left[to] - 1,) + left[to + 1 :]
+                if _can_finish(rest, to):
+                    stack.append((prefix + step, to, rest))
+
+
+def _can_finish(left: RawSequence, level: int) -> bool:
+    """Whether a walk at level can end at level 0 visiting exactly left[k]
+    more nodes at each level k.
+
+    Each node left is entered once, by a rise from below or a fall from
+    above, and the gaps below level are crossed downwards once more than
+    upwards.  So the rises left across gap k are a_k = left[k] - [k <
+    level] - a(k-1), the up-step recurrence of is_admissible_closed on
+    what is left.  A walk exists exactly when every a_k >= 0, the last
+    one is 0, and a_k >= 1 from level up to the highest level with nodes
+    left, which joins those levels to the walk: the levels then form a
+    connected multigraph whose degrees admit an Euler trail from level
+    to 0.
+    """
+    top = max((k for k, count in enumerate(left) if count), default=0)
+    ups = 0
+    for k, count in enumerate(left):
+        ups = count - (k < level) - ups
+        if ups < 0 or (level <= k < top and ups < 1):
+            return False
+    return ups == 0
 
 
 def _reduction_ops(counts: RawSequence) -> list[int] | None:

@@ -479,6 +479,66 @@ class TestEnumerate:
         assert (code, out) == (0, "UD\n")
         assert len(calls) == 1
 
+    def test_frame_walks_only_its_class(self, capsys, monkeypatch):
+        frame = (5, 8, 6, 2)  # the largest class at n = 10, of C_10 = 16,796 paths
+        expected = [p.text for p in enumerate_dyck(10) if cli.frames.frame_of(p).counts == frame]
+        calls = []
+        original = cli.frames.frame_of
+        monkeypatch.setattr(cli.frames, "frame_of", lambda p: calls.append(p) or original(p))
+        code, out = run(capsys, "enumerate", "dyck", "--n", "10", "--frame", "5,8,6,2", "--format", "csv")
+        assert (code, out.splitlines()) == (0, expected)
+        assert len(calls) == cli.counting.frame_cardinality(frame) == 350
+
+    def test_frame_classes_at_the_cap_run_fast(self, capsys):
+        mountain = ",".join(["2"] * 16 + ["1"])
+        start = time.perf_counter()
+        code, out = run(capsys, "enumerate", "dyck", "--n", "16", "--frame", mountain, "--format", "csv")
+        assert (code, out) == (0, "U" * 16 + "D" * 16 + "\n")
+        code, out = run(capsys, "enumerate", "dyck", "--n", "12", "--frame", "3,6,6,3,2,2,2,1")
+        assert (code, len(out.splitlines())) == (0, 100)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "argv, limit",
+        [(("--format", "json"), 5 * 2**20), (("--with-frame", "--format", "json"), 10 * 2**20)],
+    )
+    def test_json_rows_stream(self, monkeypatch, argv, limit):
+        # The count prints first, from the closed form, so no row is held.
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                code = main(["enumerate", "dyck", "--n", "12", *argv])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < limit
+
+    def test_json_streams_byte_for_byte(self, capsys):
+        rows = iter([{"path": "UD", "frame": (2, 1)}] * 5000)
+        cli._emit("json", {"a": 1, "rows": rows, "b": iter(()), "c": [2]}, [])
+        whole = {"a": 1, "rows": [{"path": "UD", "frame": (2, 1)}] * 5000, "b": [], "c": [2]}
+        assert capsys.readouterr().out == json.dumps(whole, default=list) + "\n"
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("catalan", ("dyck", "--n", "4")),
+            ("frame_cardinality", ("dyck", "--n", "5", "--frame", "3,4,3,1")),
+            ("count_motzkin", ("motzkin", "--n", "5")),
+            ("count_k_motzkin", ("motzkin", "--n", "5", "--k", "1")),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_closed_form_cross_check(self, capsys, monkeypatch, name, argv, fmt):
+        original = getattr(cli.counting, name)
+        monkeypatch.setattr(cli.counting, name, lambda *a: original(*a) + 1)
+        assert main(["enumerate", *argv, "--format", fmt]) == cli.EXIT_VERIFY_FAILED
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_small_run_passes(self, capsys):

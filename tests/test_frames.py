@@ -33,7 +33,9 @@ from dyckframes import (
     unextend,
     unlift,
 )
-from dyckframes.frames import _reduction_ops
+from dyckframes import frames as frames_module
+from dyckframes.counting import frame_cardinality
+from dyckframes.frames import _reduction_ops, frame_class
 
 
 def all_sequences(max_len, max_sum):
@@ -251,6 +253,41 @@ class TestEnumerateFrames:
     def test_cap(self):
         with pytest.raises(ResourceLimit):
             enumerate_frames(21)
+
+
+class TestFrameClass:
+    def test_matches_the_filtered_walk(self):
+        for n in range(11):
+            census: dict[tuple[int, ...], list[str]] = {}
+            for p in enumerate_dyck(n):
+                census.setdefault(frame_of(p).counts, []).append(p.text)
+            for fr in enumerate_frames(n):
+                walked = [p.text for p in frame_class(fr)]
+                assert walked == census[fr.counts]
+                assert len(walked) == frame_cardinality(fr)
+
+    def test_inadmissible_rejected(self):
+        for seq in ((9, 9), (4, 5, 2, 3, 1), ()):
+            with pytest.raises(NotAdmissible):
+                frame_class(seq)
+
+    def test_single_path_classes_at_the_cap(self):
+        assert [p.text for p in frame_class((2,) * 16 + (1,))] == ["U" * 16 + "D" * 16]
+        assert [p.text for p in frame_class((17, 16))] == ["UD" * 16]
+
+    def test_no_branch_dead_ends(self, monkeypatch):
+        # Every step taken is a prefix of some path of the class.
+        answers = []
+        original = frames_module._can_finish
+        monkeypatch.setattr(
+            frames_module, "_can_finish", lambda *a: answers.append(original(*a)) or answers[-1]
+        )
+        for n in range(9):
+            for fr in enumerate_frames(n):
+                answers.clear()
+                texts = [p.text for p in frame_class(fr)]
+                prefixes = {t[:i] for t in texts for i in range(1, len(t) + 1)}
+                assert answers.count(True) == len(prefixes)
 
 
 class TestCanonicalRepresentative:

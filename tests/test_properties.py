@@ -29,6 +29,7 @@ from dyckframes import (
     unlift,
 )
 from dyckframes.counting import count_by_frames
+from dyckframes.frames import frame_class
 
 raw_sequences = st.lists(st.integers(0, 9), max_size=8).map(tuple)
 nonempty_raw = raw_sequences.filter(lambda seq: bool(trim(seq)))
@@ -174,6 +175,12 @@ def test_gluing_commutes_with_frame_extraction(p, q):
 @given(dyck_paths())
 def test_frame_entries_sum_to_node_count(p):
     assert sum(frame_of(p).counts) == len(p) + 1
+
+
+@given(dyck_paths(max_half_length=10))
+@settings(max_examples=60)
+def test_path_lies_in_its_own_frame_class(p):
+    assert p in frame_class(frame_of(p))
 
 
 @st.composite

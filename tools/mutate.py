@@ -140,8 +140,8 @@ MUTATIONS = (
     Mutation(
         "enumerate walks for a frame that cannot match",
         "cli.py",
-        "        walk = iter(())",
-        "        pass",
+        "walk, total = iter(()), 0",
+        "total = 0",
         (ENUMERATE_CLI,),
     ),
     Mutation(
@@ -207,6 +207,48 @@ MUTATIONS = (
         'lines = (",".join(map(str, row)) for row in rows)',
         'lines = [",".join(map(str, row)) for row in rows]',
         ("tests/test_cli.py::TestEnumerate::test_csv_rows_stream",),
+    ),
+    Mutation(
+        "frame-class walker lets a level above go unreached",
+        "frames.py",
+        "(level <= k < top and ups < 1)",
+        "(level <= k < top and ups < 0)",
+        ("tests/test_frames.py::TestFrameClass",),
+    ),
+    Mutation(
+        "frame-class walker pushes U before D",
+        "frames.py",
+        'for step, to in (("D", level - 1), ("U", level + 1)):',
+        'for step, to in (("U", level + 1), ("D", level - 1)):',
+        ("tests/test_frames.py::TestFrameClass",),
+    ),
+    Mutation(
+        "json lists an iterator value whole",
+        "cli.py",
+        "for j, chunk in enumerate(_chunks(value)):",
+        "for j, chunk in enumerate([list(value)]):",
+        ("tests/test_cli.py::TestEnumerate::test_json_rows_stream",),
+    ),
+    Mutation(
+        "json chunks joined without a separator",
+        "cli.py",
+        'yield (", " if j else "") + json.dumps(chunk, default=list)[1:-1]',
+        'yield json.dumps(chunk, default=list)[1:-1]',
+        ("tests/test_cli.py::TestEnumerate::test_json_streams_byte_for_byte",),
+    ),
+    Mutation(
+        "enumerate skips the closed-form cross-check",
+        "cli.py",
+        "if shown != total:",
+        "if False:",
+        ("tests/test_cli.py::TestEnumerate::test_closed_form_cross_check",),
+    ),
+    Mutation(
+        "enumerate serves --frame by the filtered walk",
+        "cli.py",
+        "walk, total = frames.frame_class(wanted), counting.frame_cardinality(wanted)",
+        "total = counting.frame_cardinality(wanted)",
+        ("tests/test_cli.py::TestEnumerate::test_frame_walks_only_its_class",),
     ),
 )
 
