@@ -259,12 +259,17 @@ def cmd_enumerate(args: argparse.Namespace, allow_large: bool) -> int:
         walk, total = frames.frame_class(wanted), counting.frame_cardinality(wanted)
     else:
         walk, total = iter(()), 0
-    kept = (p for p in walk if wanted is None or frames.frame_of(p).counts == wanted)
+    if wanted is not None:  # each path's frame is checked against the one asked for
+        walk = (p for p in walk if frames.frame_of(p).counts == wanted)
     printed = count()  # zip draws one number per path kept
-    rows: Iterable[tuple] = (
-        (p.text, *frames.frame_of(p).counts) if args.with_frame else (p.text,)
-        for p, _ in zip(kept, printed)
-    )
+    kept = (p for p, _ in zip(walk, printed))
+    rows: Iterable[tuple]
+    if not args.with_frame:
+        rows = ((p.text,) for p in kept)
+    elif wanted is not None:  # the check has built each frame already: it is wanted
+        rows = ((p.text, *wanted) for p in kept)
+    else:
+        rows = ((p.text, *frames.frame_of(p).counts) for p in kept)
     doc: dict = {"command": "enumerate", "kind": args.kind, "n": args.n}
     if args.format == "json":  # the count comes before the paths
         listed = ({"path": r[0], "frame": list(r[1:])} if args.with_frame else r[0] for r in rows)

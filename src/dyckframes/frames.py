@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotAdmissible, NotDyck, NotLifted, ResourceLimit, Underflow
-from .paths import Path, _walk
+from .paths import Path, _trusted
 
 FRAME_ENUMERATION_CAP = 20
 
@@ -136,7 +136,9 @@ class Frame:
     """An admissible frame: the per-level foot counts of some Dyck path.
 
     Construction trims trailing zeros and checks admissibility, so a
-    Frame value is a proof that a matching path exists.
+    Frame value is a proof that a matching path exists.  frame_of and the
+    frame walker build frames that are admissible by construction,
+    through _trusted_frame, which does not check them again.
     """
 
     counts: RawSequence
@@ -171,6 +173,13 @@ class Frame:
 NULL_FRAME = Frame((1,))
 
 
+def _trusted_frame(counts: RawSequence) -> Frame:
+    """A Frame over trimmed, admissible counts, set without a check."""
+    frame = object.__new__(Frame)
+    object.__setattr__(frame, "counts", counts)
+    return frame
+
+
 def parse_counts(text: str, noun: str, where: str) -> RawSequence:
     """Parse comma-separated ASCII nonnegative integers; errors name noun and where."""
     values = []
@@ -193,16 +202,27 @@ def ensure_frame(value: Frame | Sequence[int]) -> Frame:
 
 
 def frame_of(path: Path) -> Frame:
-    """The frame of a Dyck path: its foot counts per level."""
+    """The frame of a Dyck path: its foot counts per level.
+
+    One pass over the steps of a path that is valid already.  The counts
+    of a Dyck path are always admissible (verify's frame_set_oracle checks
+    this census against enumerate_frames), so the Frame is not checked.
+    """
     if not path.is_dyck:
         raise NotDyck(f"path has horizontal steps: {path.text!r}")
     counts = [1]
-    for level in _walk(path.text):
-        if level == len(counts):
-            counts.append(1)
+    level = top = 0
+    for step in path.text:
+        if step == "U":
+            level += 1
+            if level > top:  # the first node at a new level
+                top = level
+                counts.append(1)
+                continue
         else:
-            counts[level] += 1
-    return Frame(tuple(counts))
+            level -= 1
+        counts[level] += 1
+    return _trusted_frame(tuple(counts))
 
 
 def enumerate_frames(
@@ -229,8 +249,8 @@ def _frames(half_length: int) -> Iterator[Frame]:
     stack: list[tuple[RawSequence, int]] = [((1,), 0)]
     while stack:
         counts, size = stack.pop()
-        if size == half_length:
-            yield Frame(counts)
+        if size == half_length:  # a lifting or extension of an admissible frame
+            yield _trusted_frame(counts)
             continue
         if counts != (1,):  # both children of the null frame are (2, 1)
             stack.append((extend_frame(counts), size + 1))
@@ -259,7 +279,7 @@ def _class_paths(counts: RawSequence, length: int) -> Iterator[Path]:
     while stack:
         prefix, level, left = stack.pop()
         if len(prefix) == length:
-            yield Path(prefix)
+            yield _trusted(prefix)
             continue
         for step, to in (("D", level - 1), ("U", level + 1)):
             if 0 <= to < len(left) and left[to]:
@@ -333,7 +353,7 @@ def canonical_representative(frame: Frame | Sequence[int]) -> Path:
     ops = _reduction_ops(frame.counts)
     if ops is None:  # unreachable for a validated Frame; kept as a guard
         raise NotAdmissible(f"not reducible to the null frame: {frame.counts!r}")
-    return Path("U" * len(ops) + "".join("D" + "UD" * k for k in reversed(ops)))
+    return _trusted("U" * len(ops) + "".join("D" + "UD" * k for k in reversed(ops)))
 
 
 def consequences_hold(frame: Frame | Sequence[int]) -> bool:

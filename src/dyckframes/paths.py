@@ -45,7 +45,9 @@ class Path:
 
     Validity (only step characters, never below level 0, ending at
     level 0) is checked on construction, so every Path value is a real
-    path.
+    path.  The walkers and operators of this package build paths that
+    are valid by construction, through _trusted, which does not walk
+    them again.
     """
 
     text: str = ""
@@ -72,6 +74,13 @@ class Path:
 NULL_PATH = Path()
 
 
+def _trusted(text: str) -> Path:
+    """A Path over text that is valid by construction, set without a check."""
+    path = object.__new__(Path)
+    object.__setattr__(path, "text", text)
+    return path
+
+
 def parse_path(text: str) -> Path:
     """Parse a string of U/D/H characters into a validated Path."""
     return Path(text)
@@ -91,12 +100,12 @@ def foot_count(path: Path, level: int) -> int:
 
 def lift(path: Path) -> Path:
     """Wrap a path in an up step at the start and a down step at the end."""
-    return Path("U" + path.text + "D")
+    return _trusted("U" + path.text + "D")
 
 
 def glue(first: Path, second: Path) -> Path:
     """Concatenate two paths; associative but not commutative."""
-    return Path(first.text + second.text)
+    return _trusted(first.text + second.text)
 
 
 def enumerate_dyck(
@@ -143,15 +152,16 @@ def _paths(length: int, allowed: frozenset[int] | None) -> Iterator[Path]:
     Flat steps may sit only at allowed levels, or anywhere when allowed
     is None.  A depth-first walk over a stack of (prefix, level) pairs, so deep
     paths need no recursion (Knuth, TAOCP 4A, 7.2.1.6).  A step is taken
-    only if level 0 stays reachable in the steps left; H, D, U are
-    pushed in that order so that U pops first.
+    only if level 0 stays reachable in the steps left, so every prefix
+    of full length is a path; H, D, U are pushed in that order so that U
+    pops first.
     """
     stack = [("", 0)]
     while stack:
         prefix, level = stack.pop()
         remaining = length - len(prefix)
         if not remaining:
-            yield Path(prefix)
+            yield _trusted(prefix)
             continue
         if remaining > level and (allowed is None or level in allowed):
             stack.append((prefix + "H", level))

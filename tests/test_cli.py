@@ -489,6 +489,19 @@ class TestEnumerate:
         assert (code, out.splitlines()) == (0, expected)
         assert len(calls) == cli.counting.frame_cardinality(frame) == 350
 
+    def test_frame_built_once_per_row(self, capsys, monkeypatch):
+        calls = []
+        original = cli.frames.frame_of
+        monkeypatch.setattr(cli.frames, "frame_of", lambda p: calls.append(p) or original(p))
+        code, out = run(
+            capsys, "enumerate", "dyck", "--n", "10", "--frame", "5,8,6,2", "--with-frame",
+            "--format", "csv",
+        )
+        lines = out.splitlines()
+        assert code == 0 and all(line.endswith(",5,8,6,2") for line in lines)
+        assert [p.text for p in calls] == [line.split(",")[0] for line in lines]
+        assert len(calls) == 350
+
     def test_frame_classes_at_the_cap_run_fast(self, capsys):
         mountain = ",".join(["2"] * 16 + ["1"])
         start = time.perf_counter()

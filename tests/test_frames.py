@@ -12,6 +12,7 @@ from dyckframes import (
     NotAdmissible,
     NotDyck,
     NotLifted,
+    Path,
     ResourceLimit,
     Underflow,
     canonical_representative,
@@ -213,6 +214,12 @@ class TestFrameType:
         with pytest.raises(NotAdmissible):
             Frame((4, 5, 2, 3, 1))
 
+    def test_enumerated_frames_validate(self):
+        # The frame walker builds frames without a check; the public one agrees.
+        for n in range(13):
+            for fr in enumerate_frames(n):
+                assert Frame(fr.counts) == fr
+
     def test_degree_and_length(self):
         fr = Frame((3, 6, 6, 3, 1))
         assert fr.degree == 4
@@ -266,6 +273,12 @@ class TestFrameClass:
                 assert walked == census[fr.counts]
                 assert len(walked) == frame_cardinality(fr)
 
+    def test_class_paths_validate(self):
+        for n in range(10):
+            for fr in enumerate_frames(n):
+                for p in frame_class(fr):
+                    assert Path(p.text) == p
+
     def test_inadmissible_rejected(self):
         for seq in ((9, 9), (4, 5, 2, 3, 1), ()):
             with pytest.raises(NotAdmissible):
@@ -312,6 +325,12 @@ class TestCanonicalRepresentative:
         for n in range(13):
             for fr in enumerate_frames(n):
                 assert frame_of(canonical_representative(fr)) == fr
+
+    def test_canonical_paths_validate(self):
+        for n in range(13):
+            for fr in enumerate_frames(n):
+                p = canonical_representative(fr)
+                assert Path(p.text) == p
 
     def test_down_runs_followed_by_at_most_one_up(self):
         for n in range(11):

@@ -15,6 +15,7 @@ import pytest
 from dyckframes import (
     NULL_PATH,
     MalformedPath,
+    Path,
     ResourceLimit,
     enumerate_dyck,
     enumerate_motzkin,
@@ -24,6 +25,8 @@ from dyckframes import (
     lift,
     parse_path,
 )
+from dyckframes import paths as paths_module
+from dyckframes.cli import main
 
 
 def catalan_closed(n: int) -> int:
@@ -231,3 +234,30 @@ def test_total_feet_is_step_count_plus_one():
         for path in enumerate_dyck(n):
             top = max(path.levels())
             assert sum(foot_count(path, s) for s in range(top + 1)) == 2 * n + 1
+
+
+class TestTrustedConstruction:
+    """The enumerators build each path valid by construction and do not
+    walk it again; the public validator must accept every one."""
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_enumerated_dyck_paths_validate(self, n):
+        for path in enumerate_dyck(n):
+            assert Path(path.text) == path
+
+    @pytest.mark.parametrize("levels", [None, (), {0}, {1}, {2}, {3}])
+    def test_enumerated_motzkin_paths_validate(self, levels):
+        for n in range(11):
+            for path in enumerate_motzkin(n, levels):
+                assert Path(path.text) == path
+
+    def test_enumerate_walks_no_path_twice(self, capsys, monkeypatch):
+        calls = []
+        original = paths_module._walk
+        monkeypatch.setattr(paths_module, "_walk", lambda text: calls.append(text) or original(text))
+        for argv in (("dyck", "--n", "8", "--with-frame"), ("motzkin", "--n", "8")):
+            assert main(["enumerate", *argv, "--format", "csv"]) == 0
+        assert capsys.readouterr().out.count("\n") == 1430 + 323
+        assert calls == []
+        parse_path("UD")  # the public constructor still walks its text
+        assert calls == ["UD"]

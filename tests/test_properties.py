@@ -10,9 +10,11 @@ from dyckframes import (
     ColorSpec,
     Frame,
     MalformedPath,
+    NotDyck,
     Path,
     count_colored_dyck,
     count_colored_motzkin,
+    enumerate_dyck,
     extend_frame,
     frame_length,
     frame_of,
@@ -30,6 +32,7 @@ from dyckframes import (
 )
 from dyckframes.counting import count_by_frames
 from dyckframes.frames import frame_class
+from dyckframes.paths import _walk
 
 raw_sequences = st.lists(st.integers(0, 9), max_size=8).map(tuple)
 nonempty_raw = raw_sequences.filter(lambda seq: bool(trim(seq)))
@@ -181,6 +184,47 @@ def test_frame_entries_sum_to_node_count(p):
 @settings(max_examples=60)
 def test_path_lies_in_its_own_frame_class(p):
     assert p in frame_class(frame_of(p))
+
+
+@given(motzkin_paths(), motzkin_paths())
+def test_lift_and_glue_build_valid_paths(p, q):
+    for built in (lift(p), glue(p, q), glue(lift(q), p)):
+        assert Path(built.text) == built
+
+
+def walked_frame(path: Path) -> Frame:
+    """frame_of as a checked walk: the levels from _walk, counted per level."""
+    counts = [1]
+    for level in _walk(path.text):
+        if level == len(counts):
+            counts.append(1)
+        else:
+            counts[level] += 1
+    return Frame(tuple(counts))
+
+
+def test_frame_of_matches_the_walked_oracle_up_to_n_11():
+    for n in range(12):
+        for p in enumerate_dyck(n):
+            fr = frame_of(p)
+            assert fr == walked_frame(p)
+            assert is_admissible_closed(fr.counts)
+
+
+@given(dyck_paths(max_half_length=14))
+def test_frame_of_matches_the_walked_oracle(p):
+    fr = frame_of(p)
+    assert fr == walked_frame(p)
+    assert is_admissible_closed(fr.counts)
+
+
+@given(motzkin_paths())
+def test_frame_of_rejects_exactly_the_paths_with_flats(p):
+    if "H" in p.text:
+        with pytest.raises(NotDyck):
+            frame_of(p)
+    else:
+        assert frame_of(p) == walked_frame(p)
 
 
 @st.composite

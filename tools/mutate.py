@@ -250,6 +250,34 @@ MUTATIONS = (
         "total = counting.frame_cardinality(wanted)",
         ("tests/test_cli.py::TestEnumerate::test_frame_walks_only_its_class",),
     ),
+    Mutation(
+        "path walker rises where level 0 is out of reach",
+        "paths.py",
+        "if remaining >= level + 2:",
+        "if remaining >= level + 1:",
+        ("tests/test_paths.py::TestTrustedConstruction",),
+    ),
+    Mutation(
+        "frame_of counts a newly reached level from 0",
+        "frames.py",
+        "counts.append(1)",
+        "counts.append(0)",
+        ("tests/test_properties.py::test_frame_of_matches_the_walked_oracle_up_to_n_11",),
+    ),
+    Mutation(
+        "public Path constructor skips its check",
+        "paths.py",
+        "        for _ in _walk(self.text):\n            pass\n",
+        "        pass\n",
+        ("tests/test_paths.py::TestParse",),
+    ),
+    Mutation(
+        "enumerate builds a row's frame twice under --frame --with-frame",
+        "cli.py",
+        "rows = ((p.text, *wanted) for p in kept)",
+        "rows = ((p.text, *frames.frame_of(p).counts) for p in kept)",
+        ("tests/test_cli.py::TestEnumerate::test_frame_built_once_per_row",),
+    ),
 )
 
 
