@@ -19,7 +19,7 @@ from itertools import count, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import counting, frames, paths
-from .errors import DyckFramesError, ResourceLimit
+from .errors import DyckFramesError, ResourceLimit, refuse_over
 from .verify import run_verification
 
 FORMATS = ("table", "csv", "json")
@@ -85,12 +85,6 @@ def _json_pieces(doc: dict) -> Iterator[str]:
     yield "}\n"
 
 
-def _bound(what: str, work: int, cap: int, unit: str, allow_large: bool) -> None:
-    """Refuse a command's work over its cap before any of it starts."""
-    if work > cap and not allow_large:
-        raise ResourceLimit(f"{what}: {unit} {work} exceeds the cap of {cap}")
-
-
 # ---------------------------------------------------------------- feet-table
 
 
@@ -98,8 +92,9 @@ def cmd_feet_table(args: argparse.Namespace, allow_large: bool) -> int:
     if args.max < 0 or args.level < 0:
         raise ValueError("--max and --level must be nonnegative")
     terms = counting.foot_table_terms(args.level, args.max)
+    cap = None if allow_large else counting.FOOT_TABLE_TERM_CAP
     what = f"feet-table --max {args.max} --level {args.level}"
-    _bound(what, terms, counting.FOOT_TABLE_TERM_CAP, "packed DP entries", allow_large)
+    refuse_over(what, terms, cap, "packed DP entries")
     table = counting.feet_table(args.level, args.max)
     start = 1 if args.level == 0 else 0
     columns = list(range(start, max(args.max, MIN_FEET_COLUMNS) + 1))
@@ -128,7 +123,8 @@ def cmd_frame(args: argparse.Namespace, allow_large: bool) -> int:
         return EXIT_OK
     # The class has at most C_n paths and the canonical path has 2n steps.
     half = frames.frame_length(counts) // 2
-    _bound(f"frame {args.frame_text}", half, counting.CATALAN_CAP, "half-length", allow_large)
+    cap = None if allow_large else counting.CATALAN_CAP
+    refuse_over(f"frame {args.frame_text}", half, cap, "half-length")
     fr = frames.Frame(counts)
     ups = list(counting.up_steps_per_level(fr))
     doc.update(
@@ -176,7 +172,8 @@ def cmd_count(args: argparse.Namespace, allow_large: bool) -> int:
         if args.colors_h is not None:
             raise ValueError("horizontal colors do not apply to kind dyck")
         if args.colors_u is None and args.colors_d is None:
-            _bound(what, args.n, counting.CATALAN_CAP, "half-length", allow_large)
+            cap = None if allow_large else counting.CATALAN_CAP
+            refuse_over(what, args.n, cap, "half-length")
             doc["count"] = counting.catalan(args.n)
             _emit(args.format, doc, [[doc["count"]]])
             return EXIT_OK
@@ -200,8 +197,8 @@ def cmd_count(args: argparse.Namespace, allow_large: bool) -> int:
             doc["colors"] = {"h": r}
     # Bound the cells before any color vector is built, then charge the
     # weights of the one ColorSpec that is counted.
-    cells = counting.transfer_cells(steps)
-    _bound(what, cells, counting.TRANSFER_CELL_CAP, "DP cell words", allow_large)
+    cap = None if allow_large else counting.TRANSFER_CELL_CAP
+    refuse_over(what, counting.transfer_cells(steps), cap, "DP cell words")
     levels = steps // 2
     if args.kind == "k-motzkin":
         spec = counting.k_motzkin_colors(args.n, args.k, r)
@@ -217,8 +214,7 @@ def cmd_count(args: argparse.Namespace, allow_large: bool) -> int:
         if (args.colors_h, args.colors_u, args.colors_d) != (None, None, None):
             doc["colors"] = {"h": list(h), "u": list(u), "d": list(d)}
         spec = counting.ColorSpec(h, u, d)
-    charge = counting.transfer_charge(steps, spec)
-    _bound(what, charge, counting.TRANSFER_CELL_CAP, "DP cell words", allow_large)
+    refuse_over(what, counting.transfer_charge(steps, spec), cap, "DP cell words")
     doc["count"] = counting.count_colored_motzkin(steps, spec)
     _emit(args.format, doc, [[doc["count"]]])
     return EXIT_OK
@@ -296,7 +292,7 @@ def cmd_enumerate(args: argparse.Namespace, allow_large: bool) -> int:
 def cmd_verify(args: argparse.Namespace, allow_large: bool) -> int:
     if args.max_n < 0:
         raise ValueError("--max-n must be nonnegative")
-    report = run_verification(args.max_n, allow_large=allow_large)
+    report = run_verification(args.max_n, None if allow_large else paths.DYCK_ENUMERATION_CAP)
     doc = {
         "command": "verify",
         "max_n": report.max_n,

@@ -16,7 +16,7 @@ from itertools import islice, zip_longest
 from operator import mul
 from typing import Iterator, Sequence
 
-from .errors import ResourceLimit
+from .errors import refuse_over
 from .frames import (
     FRAME_ENUMERATION_CAP,
     Frame,
@@ -174,7 +174,8 @@ class ColorSpec:
 
     h[k] colors horizontal steps resting at level k, with 0 meaning no
     horizontal step may sit there; u[k] and d[k] color the up and down
-    steps joining levels k and k + 1.
+    steps joining levels k and k + 1.  Entries must be nonnegative ints,
+    so every count stays exact.
     """
 
     h: tuple[int, ...] = ()
@@ -184,8 +185,8 @@ class ColorSpec:
     def __post_init__(self) -> None:
         for name in ("h", "u", "d"):
             vec = tuple(getattr(self, name))
-            if any(v < 0 for v in vec):
-                raise ValueError(f"color counts in {name} must be nonnegative")
+            if any(not isinstance(v, int) or v < 0 for v in vec):
+                raise ValueError(f"color counts in {name} must be nonnegative ints")
             object.__setattr__(self, name, vec)
 
 
@@ -344,17 +345,15 @@ def count_by_frames(
     identity behind this.  Each foot at a colored level multiplies the
     series by 1 / (1 - h[t] x), one prefix-sum pass.  With h all zero
     only the frames of length n contribute, so this also counts colored
-    Dyck paths of length n.  Frames of half-length above cap raise
-    ResourceLimit before any is enumerated.
+    Dyck paths of length n.  Color vectors too short for n raise
+    ValueError, as in the DP, and frames of half-length above cap raise
+    ResourceLimit, both before any frame is enumerated.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    _jacobi_weights(n, colors)  # the DP's rule for the vector lengths
     levels = n // 2
-    _require_entries(colors.h, levels + 1, "colors.h")
-    _require_entries(colors.u, levels, "colors.u")
-    _require_entries(colors.d, levels, "colors.d")
-    if cap is not None and levels > cap:
-        raise ResourceLimit(f"frame sum at size {levels} exceeds the cap of {cap}")
+    refuse_over("frame sum", levels, cap, "half-length")
     total = 0
     for j in range(levels + 1):
         flat = n - 2 * j

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one size guard."""
 
 
 class DyckFramesError(Exception):
@@ -14,7 +14,17 @@ class NotDyck(DyckFramesError, ValueError):
 
 
 class ResourceLimit(DyckFramesError):
-    """An enumeration would exceed its configured size cap."""
+    """Work over a size cap, refused by refuse_over before it starts."""
+
+
+def refuse_over(what: str, size: int, cap: int | None, unit: str = "size") -> None:
+    """Raise ResourceLimit when size exceeds cap; a cap of None admits any size.
+
+    Every capped function and command calls this before its work starts,
+    so every refusal reads "<what>: <unit> <size> exceeds the cap of <cap>".
+    """
+    if cap is not None and size > cap:
+        raise ResourceLimit(f"{what}: {unit} {size} exceeds the cap of {cap}")
 
 
 class Underflow(DyckFramesError, ValueError):

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import NotAdmissible, NotDyck, NotLifted, ResourceLimit, Underflow
+from .errors import NotAdmissible, NotDyck, NotLifted, Underflow, refuse_over
 from .paths import Path, _trusted
 
 FRAME_ENUMERATION_CAP = 20
@@ -238,10 +238,7 @@ def enumerate_frames(
     """
     if half_length < 0:
         raise ValueError("half_length must be nonnegative")
-    if cap is not None and half_length > cap:
-        raise ResourceLimit(
-            f"frame enumeration at size {half_length} exceeds the cap of {cap}"
-        )
+    refuse_over("frame enumeration", half_length, cap, "half-length")
     return _frames(half_length)
 
 

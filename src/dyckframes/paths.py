@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import MalformedPath, ResourceLimit
+from .errors import MalformedPath, refuse_over
 
 DYCK_ENUMERATION_CAP = 16
 MOTZKIN_ENUMERATION_CAP = 14
@@ -119,13 +119,8 @@ def enumerate_dyck(
     """
     if half_length < 0:
         raise ValueError("half_length must be nonnegative")
-    _check_cap("Dyck", half_length, cap)
+    refuse_over("Dyck enumeration", half_length, cap, "half-length")
     return _paths(2 * half_length, frozenset())
-
-
-def _check_cap(kind: str, n: int, cap: int | None) -> None:
-    if cap is not None and n > cap:
-        raise ResourceLimit(f"{kind} enumeration at size {n} exceeds the cap of {cap}")
 
 
 def enumerate_motzkin(
@@ -141,7 +136,7 @@ def enumerate_motzkin(
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
-    _check_cap("Motzkin", length, cap)
+    refuse_over("Motzkin enumeration", length, cap, "length")
     allowed = None if horizontal_levels is None else frozenset(horizontal_levels)
     return _paths(length, allowed)
 

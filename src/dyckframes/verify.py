@@ -9,7 +9,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import counting, frames, paths
-from .errors import ResourceLimit
+from .errors import refuse_over
 
 
 @dataclass(frozen=True)
@@ -61,18 +61,16 @@ def _positive_vectors(max_sum: int):
                 yield tuple(value + 1 for value in spare)
 
 
-def run_verification(max_n: int, allow_large: bool = False) -> VerifyReport:
+def run_verification(max_n: int, cap: int | None = paths.DYCK_ENUMERATION_CAP) -> VerifyReport:
     """Cross-check the closed formulas against brute-force enumeration.
 
     Each n <= max_n walks all Dyck paths of half-length n, so a max_n over
-    paths.DYCK_ENUMERATION_CAP raises ResourceLimit before any work unless
-    allow_large is set; the Motzkin and frame walks stay under their caps.
+    cap raises ResourceLimit before any work; cap=None lifts the guard.
+    The Motzkin and frame walks stay under their own caps.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    cap = paths.DYCK_ENUMERATION_CAP
-    if max_n > cap and not allow_large:
-        raise ResourceLimit(f"Dyck enumeration at size {max_n} exceeds the cap of {cap}")
+    refuse_over("verification", max_n, cap, "max_n")
     checks: list[VerifyCheck] = []
 
     def add(name: str, params: str, expected: int, actual: int) -> None:
@@ -156,11 +154,12 @@ def run_verification(max_n: int, allow_large: bool = False) -> VerifyReport:
         != counting.catalan(n)
     )
     add("colored_dyck_reduction", f"n<={max_n}", 0, bad_dyck)
+    # A Motzkin path is a Dyck path of length 2k with n - 2k flats among its steps.
     bad_motzkin = sum(
         1
         for n in range(max_n + 1)
         if counting.count_colored_motzkin(n, counting.ColorSpec(h=ones, u=ones, d=ones))
-        != counting.count_motzkin(n)
+        != sum(counting.binomial(n, 2 * k) * counting.catalan(k) for k in range(n // 2 + 1))
     )
     add("colored_motzkin_reduction", f"n<={max_n}", 0, bad_motzkin)
 

@@ -638,6 +638,12 @@ class TestVerify:
         # half-lengths up to 1 only, so the census check is the one to fail.
         assert failed == {"foot_table_oracle"}
 
+    def test_colored_reduction_does_not_read_the_dp_twice(self, monkeypatch):
+        original = cli.counting.count_colored_motzkin
+        monkeypatch.setattr(cli.counting, "count_colored_motzkin", lambda *a: original(*a) + 1)
+        report = verify_module.run_verification(3)
+        assert "colored_motzkin_reduction" in {c.name for c in report.checks if not c.passed}
+
     def test_over_cap_is_refused_before_any_work(self, capsys, monkeypatch):
         monkeypatch.setattr(paths_module, "DYCK_ENUMERATION_CAP", 2)
         calls = []

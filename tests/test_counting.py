@@ -448,6 +448,12 @@ class TestColoredMotzkin:
         with pytest.raises(ValueError):
             ColorSpec(h=(-1,))
 
+    @pytest.mark.parametrize("vec", ["h", "u", "d"])
+    def test_non_int_colors_rejected(self, vec):
+        # A float would make the counts inexact: 1.25 paths of length 2.
+        with pytest.raises(ValueError, match=f"color counts in {vec} must be nonnegative ints"):
+            ColorSpec(**{"h": (1, 1), "u": (1,), "d": (1,), vec: (0.5, 0.5)})
+
 
 class TestTransferCharge:
     def test_gap_product_sets_the_width(self):

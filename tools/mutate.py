@@ -190,7 +190,7 @@ MUTATIONS = (
     Mutation(
         "count builds the color vectors with no cell bound first",
         "cli.py",
-        '    _bound(what, cells, counting.TRANSFER_CELL_CAP, "DP cell words", allow_large)\n',
+        '    refuse_over(what, counting.transfer_cells(steps), cap, "DP cell words")\n',
         "",
         ("tests/test_cli.py::TestCount::test_over_bound_is_refused_up_front",),
     ),
@@ -277,6 +277,28 @@ MUTATIONS = (
         "rows = ((p.text, *wanted) for p in kept)",
         "rows = ((p.text, *frames.frame_of(p).counts) for p in kept)",
         ("tests/test_cli.py::TestEnumerate::test_frame_built_once_per_row",),
+    ),
+    Mutation(
+        "size guard refuses a size equal to its cap",
+        "errors.py",
+        "if cap is not None and size > cap:",
+        "if cap is not None and size >= cap:",
+        ("tests/test_caps.py",
+         "tests/test_cli.py::TestCount::test_allow_large_lifts_the_weight_charge"),
+    ),
+    Mutation(
+        "colored Motzkin reduction checks the DP against itself",
+        "verify.py",
+        "!= sum(counting.binomial(n, 2 * k) * counting.catalan(k) for k in range(n // 2 + 1))",
+        "!= counting.count_motzkin(n)",
+        ("tests/test_cli.py::TestVerify::test_colored_reduction_does_not_read_the_dp_twice",),
+    ),
+    Mutation(
+        "color counts accept non-integers",
+        "counting.py",
+        "if any(not isinstance(v, int) or v < 0 for v in vec):",
+        "if any(v < 0 for v in vec):",
+        ("tests/test_counting.py::TestColoredMotzkin",),
     ),
 )
 
