@@ -22,12 +22,13 @@ from .frames import (
     Frame,
     ensure_frame,
     enumerate_frames,
+    up_steps_per_level,
 )
 
 # Size caps the command line applies before a count starts.  The transfer
 # DP cap is in level-by-step cells, each charged the 64-bit words of the
-# widest weight (transfer_charge); it admits count_motzkin(2000) or
-# count_colored_dyck(1000), each well under a second.  The Catalan cap is
+# widest weight (transfer_charge); it admits up to count_motzkin(1999) or
+# count_colored_dyck(999), each well under a second.  The Catalan cap is
 # a half-length whose number prints in about a tenth of a second.
 TRANSFER_CELL_CAP = 2_000_000
 CATALAN_CAP = 30_000
@@ -148,24 +149,6 @@ def frame_cardinality(frame: Frame | Sequence[int]) -> int:
     ups = up_steps_per_level(frame)
     pairs = zip(frame.counts[1:], ups[1:])
     return math.prod(math.comb(count - 1, up) for count, up in pairs)
-
-
-def up_steps_per_level(frame: Frame | Sequence[int]) -> tuple[int, ...]:
-    """Up steps joining level k to k + 1, for k from 0 below the degree.
-
-    The value depends only on the frame, not on the particular path:
-    each node contributes two incident steps, half rising, so the counts
-    satisfy v0 = c0 - 1 and vk = ck - v(k-1).  They are all positive and
-    sum to half the frame length.  frames.is_admissible_closed runs the
-    same recurrence inline.
-    """
-    frame = ensure_frame(frame)
-    ups = []
-    previous = 1
-    for count in frame.counts[: frame.degree]:
-        previous = count - previous
-        ups.append(previous)
-    return tuple(ups)
 
 
 @dataclass(frozen=True)
@@ -433,7 +416,7 @@ def binomial_identity_check(m: int, parts: Sequence[int]) -> bool:
 
     Distributing m items over bins of capacities given by parts, counted
     all at once, must agree with the sum over weak compositions of the
-    per-bin binomial products.
+    per-bin binomial products; with no bins and m >= 1 both sides are 0.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -442,7 +425,7 @@ def binomial_identity_check(m: int, parts: Sequence[int]) -> bool:
         raise ValueError("part sizes must be nonnegative")
     direct = binomial(m + sum(sizes) - 1, m)
     spread = 0
-    for split in weak_compositions(m, len(sizes)):
+    for split in weak_compositions(m, len(sizes)) if sizes or not m else ():
         term = 1
         for amount, size in zip(split, sizes):
             term *= binomial(amount + size - 1, amount)

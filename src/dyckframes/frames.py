@@ -118,9 +118,9 @@ def is_admissible_closed(seq: Sequence[int] | "Frame") -> bool:
     from level k are v0 = c0 - 1 and vk = ck - v(k-1).  The sequence is a
     frame exactly when every vk with k < f is at least 1 and vf is 0,
     that is cf == v(f-1).  Then every entry is at least 1, so negative
-    entries are rejected too.  This is counting.up_steps_per_level
-    inlined, kept as a plain loop because the decider is swept over
-    millions of sequences.
+    entries are rejected too.  This is up_steps_per_level inlined, kept
+    as a plain loop because the decider is swept over millions of
+    sequences.
     """
     counts = trim(seq)
     ups = 1
@@ -135,9 +135,9 @@ def is_admissible_closed(seq: Sequence[int] | "Frame") -> bool:
 class Frame:
     """An admissible frame: the per-level foot counts of some Dyck path.
 
-    Construction trims trailing zeros and checks admissibility, so a
-    Frame value is a proof that a matching path exists.  frame_of and the
-    frame walker build frames that are admissible by construction,
+    Construction trims trailing zeros and checks int entries and
+    admissibility, so a Frame value is a proof that a matching path
+    exists.  frame_of and the frame walker build admissible frames
     through _trusted_frame, which does not check them again.
     """
 
@@ -146,6 +146,8 @@ class Frame:
     def __post_init__(self) -> None:
         normalized = trim(self.counts)
         object.__setattr__(self, "counts", normalized)
+        if not all(isinstance(v, int) for v in normalized):
+            raise NotAdmissible(f"frame entries must be ints: {normalized!r}")
         if not is_admissible_closed(normalized):
             raise NotAdmissible(f"not the frame of any Dyck path: {normalized!r}")
 
@@ -254,6 +256,25 @@ def _frames(half_length: int) -> Iterator[Frame]:
         stack.append((lift_frame(counts), size + 1))
 
 
+def up_steps_per_level(frame: Frame | Sequence[int]) -> tuple[int, ...]:
+    """Up steps joining level k to k + 1, for k from 0 below the degree.
+
+    The value depends only on the frame, not on the particular path:
+    each node contributes two incident steps, half rising, so the counts
+    satisfy v0 = c0 - 1 and vk = ck - v(k-1).  They are all positive and
+    sum to half the frame length.  A Dyck path has the frame exactly when
+    it rises vk times across each gap k, which is how frame_class walks
+    it; is_admissible_closed runs the same recurrence inline.
+    """
+    frame = ensure_frame(frame)
+    ups = []
+    previous = 1
+    for count in frame.counts[: frame.degree]:
+        previous = count - previous
+        ups.append(previous)
+    return tuple(ups)
+
+
 def frame_class(frame: Frame | Sequence[int]) -> Iterator[Path]:
     """Yield every Dyck path whose frame is the given one, exactly once.
 
@@ -263,49 +284,38 @@ def frame_class(frame: Frame | Sequence[int]) -> Iterator[Path]:
     frame.
     """
     frame = ensure_frame(frame)
-    return _class_paths(frame.counts, frame.length)
+    return _class_paths(up_steps_per_level(frame), frame.length)
 
 
-def _class_paths(counts: RawSequence, length: int) -> Iterator[Path]:
-    """A depth-first walk that carries the nodes left at each level,
-    starting with the start node taken, and takes a step only if a path
-    can still finish from there (_can_finish).  So no branch dead-ends,
-    and each path costs O(n * f) for length 2n and degree f.  D is
-    pushed before U so that U pops first."""
-    stack = [("", 0, (counts[0] - 1,) + counts[1:])]
+def _class_paths(ups: RawSequence, length: int) -> Iterator[Path]:
+    """A depth-first walk that carries the rises left across each gap: a
+    U step from level l spends one across gap l, and a D step none, as
+    every gap below the walk is crossed down once more than up.  A step
+    is taken only if a path can still finish from there (_can_finish),
+    so no branch dead-ends, and each path costs O(n * f) for length 2n
+    and degree f.  D is pushed before U so that U pops first."""
+    stack = [("", 0, ups)]
     while stack:
         prefix, level, left = stack.pop()
         if len(prefix) == length:
             yield _trusted(prefix)
             continue
-        for step, to in (("D", level - 1), ("U", level + 1)):
-            if 0 <= to < len(left) and left[to]:
-                rest = left[:to] + (left[to] - 1,) + left[to + 1 :]
-                if _can_finish(rest, to):
-                    stack.append((prefix + step, to, rest))
+        if level and _can_finish(left, level - 1):
+            stack.append((prefix + "D", level - 1, left))
+        if level < len(left) and left[level]:
+            rest = left[:level] + (left[level] - 1,) + left[level + 1 :]
+            if _can_finish(rest, level + 1):
+                stack.append((prefix + "U", level + 1, rest))
 
 
 def _can_finish(left: RawSequence, level: int) -> bool:
-    """Whether a walk at level can end at level 0 visiting exactly left[k]
-    more nodes at each level k.
-
-    Each node left is entered once, by a rise from below or a fall from
-    above, and the gaps below level are crossed downwards once more than
-    upwards.  So the rises left across gap k are a_k = left[k] - [k <
-    level] - a(k-1), the up-step recurrence of is_admissible_closed on
-    what is left.  A walk exists exactly when every a_k >= 0, the last
-    one is 0, and a_k >= 1 from level up to the highest level with nodes
-    left, which joins those levels to the walk: the levels then form a
-    connected multigraph whose degrees admit an Euler trail from level
-    to 0.
-    """
-    top = max((k for k, count in enumerate(left) if count), default=0)
-    ups = 0
-    for k, count in enumerate(left):
-        ups = count - (k < level) - ups
-        if ups < 0 or (level <= k < top and ups < 1):
-            return False
-    return ups == 0
+    """Whether a walk at level can end at level 0 rising left[k] more
+    times across each gap k.  The gaps below level are crossed down once
+    more than up and those above as often each way, so an Euler trail
+    from level to 0 (van Aardenne-Ehrenfest and de Bruijn 1951) exists
+    exactly when the gaps left are joined to the walk: every gap from
+    level up to the highest one with a rise left has one."""
+    return 0 not in trim(left[level:])
 
 
 def _reduction_ops(counts: RawSequence) -> list[int] | None:

@@ -43,8 +43,8 @@ def _walk(text: str) -> Iterator[int]:
 class Path:
     """An immutable lattice path, stored as its string of U, D, and H steps.
 
-    Validity (only step characters, never below level 0, ending at
-    level 0) is checked on construction, so every Path value is a real
+    Validity (a str of step characters only, never below level 0, ending
+    at level 0) is checked on construction, so every Path value is a real
     path.  The walkers and operators of this package build paths that
     are valid by construction, through _trusted, which does not walk
     them again.
@@ -53,6 +53,8 @@ class Path:
     text: str = ""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.text, str):
+            raise MalformedPath(f"path text must be a str, got {self.text!r}")
         for _ in _walk(self.text):
             pass
 

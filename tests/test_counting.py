@@ -570,3 +570,9 @@ class TestBinomialIdentity:
     def test_holds_with_zero_capacity_bins(self):
         assert binomial_identity_check(2, (2, 0, 1))
         assert binomial_identity_check(3, (0,)) is True
+
+    def test_holds_with_no_bins(self):
+        # binomial(m - 1, m) is 0 for m >= 1, and m items cannot be split
+        # over no bins, so both sides are 0.
+        for m in range(4):
+            assert binomial_identity_check(m, ()) is True

@@ -237,6 +237,15 @@ class TestFrameType:
             with pytest.raises(ValueError):
                 parse_frame_text(text)
 
+    def test_non_int_entries_rejected(self):
+        # (2.5, 1.5) passes the up-step test; (3.0, 3.0, 1.0) would reach
+        # math.comb in frame_cardinality as floats.
+        for counts in ((2.5, 1.5), (3.0, 3.0, 1.0), ("2", "1")):
+            with pytest.raises(NotAdmissible):
+                Frame(counts)
+        with pytest.raises(ValueError):
+            frame_cardinality((3.0, 3.0, 1.0))
+
 
 class TestEnumerateFrames:
     def test_first_generations(self):
@@ -301,6 +310,27 @@ class TestFrameClass:
                 texts = [p.text for p in frame_class(fr)]
                 prefixes = {t[:i] for t in texts for i in range(1, len(t) + 1)}
                 assert answers.count(True) == len(prefixes)
+
+    def test_can_finish_exactly_on_prefixes_of_the_class(self):
+        # Every U/D prefix that stays at level 0 or above and overdraws no
+        # gap's rises, not only the states the walker pushes.
+        checked = 0
+        for n in range(8):
+            for fr in enumerate_frames(n):
+                texts = [p.text for p in frame_class(fr)]
+                prefixes = {t[:i] for t in texts for i in range(len(t) + 1)}
+                stack = [("", 0, frames_module.up_steps_per_level(fr))]
+                while stack:
+                    prefix, level, left = stack.pop()
+                    checked += 1
+                    assert frames_module._can_finish(left, level) == (prefix in prefixes), (
+                        fr.counts, prefix)
+                    if level:
+                        stack.append((prefix + "D", level - 1, left))
+                    if level < len(left) and left[level]:
+                        rest = left[:level] + (left[level] - 1,) + left[level + 1 :]
+                        stack.append((prefix + "U", level + 1, rest))
+        assert checked == 9196
 
 
 class TestCanonicalRepresentative:

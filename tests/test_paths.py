@@ -98,6 +98,13 @@ class TestParse:
     def test_motzkin_text(self):
         assert parse_path("HUHDH").text == "HUHDH"
 
+    def test_non_str_text_rejected(self):
+        # A tuple or list of steps would build a Path unequal to the str
+        # one, and a list one that cannot be hashed.
+        for text in (("U", "D"), ["U", "D"], b"UD", None):
+            with pytest.raises(MalformedPath):
+                Path(text)
+
 
 class TestLevelSequence:
     def test_fourteen_step_example(self):

@@ -37,6 +37,18 @@ FEET = "tests/test_counting.py::TestFeetTable"
 FEET_CLI = "tests/test_cli.py::TestFeetTable"
 ENUMERATE_CLI = "tests/test_cli.py::TestEnumerate"
 ADMISSIBILITY = "tests/test_frames.py::TestAdmissibility"
+# The frame-class walker's two pushes; the last one pushed pops first.
+_PUSH_D = """\
+        if level and _can_finish(left, level - 1):
+            stack.append((prefix + "D", level - 1, left))
+"""
+_PUSH_U = """\
+        if level < len(left) and left[level]:
+            rest = left[:level] + (left[level] - 1,) + left[level + 1 :]
+            if _can_finish(rest, level + 1):
+                stack.append((prefix + "U", level + 1, rest))
+"""
+_D_THEN_U, _U_THEN_D = _PUSH_D + _PUSH_U, _PUSH_U + _PUSH_D
 
 MUTATIONS = (
     Mutation(
@@ -211,15 +223,15 @@ MUTATIONS = (
     Mutation(
         "frame-class walker lets a level above go unreached",
         "frames.py",
-        "(level <= k < top and ups < 1)",
-        "(level <= k < top and ups < 0)",
+        "return 0 not in trim(left[level:])",
+        "return 0 not in trim(left[level + 1 :])",
         ("tests/test_frames.py::TestFrameClass",),
     ),
     Mutation(
         "frame-class walker pushes U before D",
         "frames.py",
-        'for step, to in (("D", level - 1), ("U", level + 1)):',
-        'for step, to in (("U", level + 1), ("D", level - 1)):',
+        _D_THEN_U,
+        _U_THEN_D,
         ("tests/test_frames.py::TestFrameClass",),
     ),
     Mutation(
@@ -299,6 +311,27 @@ MUTATIONS = (
         "if any(not isinstance(v, int) or v < 0 for v in vec):",
         "if any(v < 0 for v in vec):",
         ("tests/test_counting.py::TestColoredMotzkin",),
+    ),
+    Mutation(
+        "public Path constructor takes any sequence of steps",
+        "paths.py",
+        "if not isinstance(self.text, str):",
+        "if False:",
+        ("tests/test_paths.py::TestParse",),
+    ),
+    Mutation(
+        "public Frame constructor takes non-int entries",
+        "frames.py",
+        "if not all(isinstance(v, int) for v in normalized):",
+        "if False:",
+        ("tests/test_frames.py::TestFrameType",),
+    ),
+    Mutation(
+        "binomial identity composes items into no bins",
+        "counting.py",
+        "weak_compositions(m, len(sizes)) if sizes or not m else ()",
+        "weak_compositions(m, len(sizes))",
+        ("tests/test_counting.py::TestBinomialIdentity",),
     ),
 )
 
