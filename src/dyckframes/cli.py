@@ -202,17 +202,15 @@ def cmd_count(args: argparse.Namespace, allow_large: bool) -> int:
     levels = steps // 2
     if args.kind == "k-motzkin":
         spec = counting.k_motzkin_colors(args.n, args.k, r)
-    elif args.kind == "dyck":
-        u = _colors(args.colors_u, "--colors-u", levels)
-        d = _colors(args.colors_d, "--colors-d", levels)
-        doc["colors"] = {"u": list(u), "d": list(d)}
-        spec = counting.ColorSpec((0,) * (levels + 1), u, d)
-    else:  # motzkin
-        h = _colors(args.colors_h, "--colors-h", levels + 1)
+    else:  # a colored dyck count is a motzkin count with no horizontal steps
+        h = (0,) * (levels + 1)
+        if args.kind == "motzkin":
+            h = _colors(args.colors_h, "--colors-h", levels + 1)
         u = _colors(args.colors_u, "--colors-u", levels)
         d = _colors(args.colors_d, "--colors-d", levels)
         if (args.colors_h, args.colors_u, args.colors_d) != (None, None, None):
-            doc["colors"] = {"h": list(h), "u": list(u), "d": list(d)}
+            named = zip("hud", (h, u, d)) if args.kind == "motzkin" else zip("ud", (u, d))
+            doc["colors"] = {key: list(vec) for key, vec in named}
         spec = counting.ColorSpec(h, u, d)
     refuse_over(what, counting.transfer_charge(steps, spec), cap, "DP cell words")
     doc["count"] = counting.count_colored_motzkin(steps, spec)
@@ -255,17 +253,18 @@ def cmd_enumerate(args: argparse.Namespace, allow_large: bool) -> int:
         walk, total = frames.frame_class(wanted), counting.frame_cardinality(wanted)
     else:
         walk, total = iter(()), 0
-    if wanted is not None:  # each path's frame is checked against the one asked for
-        walk = (p for p in walk if frames.frame_of(p).counts == wanted)
-    printed = count()  # zip draws one number per path kept
-    kept = (p for p, _ in zip(walk, printed))
     rows: Iterable[tuple]
-    if not args.with_frame:
-        rows = ((p.text,) for p in kept)
-    elif wanted is not None:  # the check has built each frame already: it is wanted
-        rows = ((p.text, *wanted) for p in kept)
-    else:
-        rows = ((p.text, *frames.frame_of(p).counts) for p in kept)
+    if wanted is None and not args.with_frame:
+        rows = ((p.text,) for p in walk)
+    else:  # one frame per path, checked against --frame and printed by --with-frame
+        rows = (
+            (p.text, *counts) if args.with_frame else (p.text,)
+            for p in walk
+            for counts in (frames.frame_of(p).counts,)
+            if wanted is None or counts == wanted
+        )
+    printed = count()  # zip draws one number per row printed
+    rows = (row for row, _ in zip(rows, printed))
     doc: dict = {"command": "enumerate", "kind": args.kind, "n": args.n}
     if args.format == "json":  # the count comes before the paths
         listed = ({"path": r[0], "frame": list(r[1:])} if args.with_frame else r[0] for r in rows)

@@ -418,11 +418,11 @@ def binomial_identity_check(m: int, parts: Sequence[int]) -> bool:
     all at once, must agree with the sum over weak compositions of the
     per-bin binomial products; with no bins and m >= 1 both sides are 0.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    if not isinstance(m, int) or m < 0:
+        raise ValueError("m must be a nonnegative int")
     sizes = tuple(parts)
-    if any(v < 0 for v in sizes):
-        raise ValueError("part sizes must be nonnegative")
+    if any(not isinstance(v, int) or v < 0 for v in sizes):
+        raise ValueError("part sizes must be nonnegative ints")
     direct = binomial(m + sum(sizes) - 1, m)
     spread = 0
     for split in weak_compositions(m, len(sizes)) if sizes or not m else ():

@@ -34,7 +34,13 @@ RawSequence = tuple[int, ...]
 
 def trim(seq: Iterable[int] | "Frame") -> RawSequence:
     """Copy a sequence as a tuple with trailing zeros removed."""
-    counts = seq.counts if isinstance(seq, Frame) else tuple(seq)
+    if isinstance(seq, Frame):
+        counts = seq.counts
+    else:
+        try:
+            counts = tuple(seq)
+        except TypeError:
+            raise ValueError(f"expected a sequence of counts, got {seq!r}") from None
     end = len(counts)
     while end and counts[end - 1] == 0:
         end -= 1
@@ -118,9 +124,10 @@ def is_admissible_closed(seq: Sequence[int] | "Frame") -> bool:
     from level k are v0 = c0 - 1 and vk = ck - v(k-1).  The sequence is a
     frame exactly when every vk with k < f is at least 1 and vf is 0,
     that is cf == v(f-1).  Then every entry is at least 1, so negative
-    entries are rejected too.  This is up_steps_per_level inlined, kept
-    as a plain loop because the decider is swept over millions of
-    sequences.
+    entries are rejected too.  Entries that are not ints can pass these
+    sums, so an accepted sequence has its entry types checked last.  This
+    is up_steps_per_level inlined, kept as a plain loop because the
+    decider is swept over millions of sequences.
     """
     counts = trim(seq)
     ups = 1
@@ -128,7 +135,7 @@ def is_admissible_closed(seq: Sequence[int] | "Frame") -> bool:
         ups = value - ups
         if ups < 1:
             return False
-    return bool(counts) and counts[-1] == ups
+    return bool(counts) and counts[-1] == ups and all(isinstance(v, int) for v in counts)
 
 
 @dataclass(frozen=True)
@@ -328,7 +335,8 @@ def _reduction_ops(counts: RawSequence) -> list[int] | None:
     leading entry below 2 with more than 1 left is stuck.  A next entry
     too small to give x - 2 needs no check of its own: it leaves a
     leading entry below 2 one level later, or a last entry that is not 1.
-    The list records one count per erased level, lowest first.
+    The list records one count per erased level, lowest first.  Entries
+    that are not ints can reach (1,) too, so they are refused at the end.
     """
     for value in counts:
         if value < 0:
@@ -339,7 +347,9 @@ def _reduction_ops(counts: RawSequence) -> list[int] | None:
     for x in counts:
         x -= taken
         if total < 2:
-            return ops if total == 1 and x == 1 else None
+            if total == 1 and x == 1 and all(isinstance(v, int) for v in counts):
+                return ops
+            return None
         if x < 2:
             return None
         taken = x - 2

@@ -225,6 +225,22 @@ class TestCount:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "kind, flags, first",
+        [
+            ("motzkin", ("--colors-h", "--colors-u", "--colors-d"), "--colors-h"),
+            ("motzkin", ("--colors-u", "--colors-d"), "--colors-u"),
+            ("dyck", ("--colors-u", "--colors-d"), "--colors-u"),
+        ],
+    )
+    def test_color_vectors_parse_in_order_h_u_d(self, capsys, kind, flags, first):
+        # Each flag gets a bad vector; the error names the first one parsed.
+        argv = [arg for flag in flags for arg in (flag, flag[-1] * 2)]
+        assert main(["count", kind, "--n", "4", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad color count {first[-1] * 2!r} in {first}\n"
+
     def test_short_color_vector_is_usage_error(self, capsys):
         code, _ = run(capsys, "count", "dyck", "--n", "4", "--colors-u", "2")
         assert code == 2
@@ -510,6 +526,37 @@ class TestEnumerate:
         code, out = run(capsys, "enumerate", "dyck", "--n", "12", "--frame", "3,6,6,3,2,2,2,1")
         assert (code, len(out.splitlines())) == (0, 100)
         assert time.perf_counter() - start < 1.0
+
+    def test_frame_flags_match_brute_force(self, capsys):
+        # Every frame with n <= 6, one inadmissible frame of length 6 and
+        # one admissible frame of the wrong length, in every format.
+        classes = {n: {} for n in range(7)}
+        for n in classes:
+            for p in enumerate_dyck(n):
+                classes[n].setdefault(cli.frames.frame_of(p).counts, []).append(p.text)
+        cases = [(n, fr) for n in classes for fr in classes[n]] + [(3, (4, 2, 1)), (3, (2, 1))]
+        for n, frame in cases:
+            expected = classes[n].get(frame, [])
+            text = ",".join(map(str, frame))
+            for with_frame in ((), ("--with-frame",)):
+                for fmt in ("table", "csv", "json"):
+                    code, out = run(
+                        capsys, "enumerate", "dyck", "--n", str(n), "--frame", text,
+                        *with_frame, "--format", fmt,
+                    )
+                    assert code == 0, (n, text, fmt)
+                    if fmt == "json":
+                        doc = json.loads(out)
+                        assert (doc["count"], doc["frame"]) == (len(expected), list(frame))
+                        rows = [
+                            (r["path"], *r["frame"]) if with_frame else (r,) for r in doc["paths"]
+                        ]
+                    else:
+                        sep = "," if fmt == "csv" else "  "
+                        rows = [tuple(line.split(sep)) for line in out.splitlines()]
+                        rows = [(r[0], *map(int, r[1:])) for r in rows]
+                    tail = frame if with_frame else ()
+                    assert rows == [(path, *tail) for path in expected], (n, text, fmt)
 
     @pytest.mark.parametrize(
         "argv, limit",

@@ -576,3 +576,9 @@ class TestBinomialIdentity:
         # over no bins, so both sides are 0.
         for m in range(4):
             assert binomial_identity_check(m, ()) is True
+
+    def test_non_int_arguments_rejected(self):
+        # The rule ColorSpec applies: a float reached math.comb as TypeError.
+        for m, parts in ((2, (1.5,)), (2, (1, 2.0)), (2.0, (1, 2)), (1, ("1",)), (None, (1,))):
+            with pytest.raises(ValueError):
+                binomial_identity_check(m, parts)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, deque
+from fractions import Fraction
 
 import pytest
 
@@ -205,6 +206,15 @@ class TestAdmissibility:
             for seq in itertools.product(range(-2, 7), repeat=length):
                 assert _reduction_ops(seq) == unit_step_levels(seq), seq
 
+    def test_deciders_reject_non_int_entries(self):
+        # Each of these passes every sum of both deciders, as ints would.
+        fixed = [(2.5, 1.5), (2.0, 1.0), (2, 1.0), (3, 3.0, 1), (Fraction(5, 2), Fraction(3, 2))]
+        as_floats = [tuple(map(float, fr.counts)) for n in range(6) for fr in enumerate_frames(n)]
+        for seq in fixed + as_floats:
+            assert not is_admissible_closed(seq), seq
+            assert not is_admissible_trace(seq), seq
+            assert _reduction_ops(seq) is None, seq
+
 
 class TestFrameType:
     def test_trailing_zeros_normalized(self):
@@ -245,6 +255,12 @@ class TestFrameType:
                 Frame(counts)
         with pytest.raises(ValueError):
             frame_cardinality((3.0, 3.0, 1.0))
+
+    def test_non_iterable_input_is_value_error(self):
+        for bad in (5, None, 2.5):
+            for build in (trim, Frame, frame_cardinality, canonical_representative):
+                with pytest.raises(ValueError):
+                    build(bad)
 
 
 class TestEnumerateFrames:

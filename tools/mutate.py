@@ -166,8 +166,8 @@ MUTATIONS = (
     Mutation(
         "reducer accepts any last entry",
         "frames.py",
-        "return ops if total == 1 and x == 1 else None",
-        "return ops if total == 1 else None",
+        "if total == 1 and x == 1 and all(",
+        "if total == 1 and all(",
         (ADMISSIBILITY,),
     ),
     Mutation(
@@ -286,8 +286,8 @@ MUTATIONS = (
     Mutation(
         "enumerate builds a row's frame twice under --frame --with-frame",
         "cli.py",
-        "rows = ((p.text, *wanted) for p in kept)",
-        "rows = ((p.text, *frames.frame_of(p).counts) for p in kept)",
+        "(p.text, *counts) if args.with_frame else (p.text,)",
+        "(p.text, *frames.frame_of(p).counts) if args.with_frame else (p.text,)",
         ("tests/test_cli.py::TestEnumerate::test_frame_built_once_per_row",),
     ),
     Mutation(
@@ -331,6 +331,41 @@ MUTATIONS = (
         "counting.py",
         "weak_compositions(m, len(sizes)) if sizes or not m else ()",
         "weak_compositions(m, len(sizes))",
+        ("tests/test_counting.py::TestBinomialIdentity",),
+    ),
+    Mutation(
+        "closed decider accepts non-int entries",
+        "frames.py",
+        "counts[-1] == ups and all(isinstance(v, int) for v in counts)",
+        "counts[-1] == ups",
+        (ADMISSIBILITY,),
+    ),
+    Mutation(
+        "reducer accepts non-int entries",
+        "frames.py",
+        "x == 1 and all(isinstance(v, int) for v in counts):",
+        "x == 1:",
+        (ADMISSIBILITY,),
+    ),
+    Mutation(
+        "trim lets a non-iterable input escape as TypeError",
+        "frames.py",
+        "except TypeError:",
+        "except ():",
+        ("tests/test_frames.py::TestFrameType",),
+    ),
+    Mutation(
+        "binomial identity takes a non-int m",
+        "counting.py",
+        "if not isinstance(m, int) or m < 0:",
+        "if m < 0:",
+        ("tests/test_counting.py::TestBinomialIdentity",),
+    ),
+    Mutation(
+        "binomial identity takes non-int parts",
+        "counting.py",
+        "if any(not isinstance(v, int) or v < 0 for v in sizes):",
+        "if any(v < 0 for v in sizes):",
         ("tests/test_counting.py::TestBinomialIdentity",),
     ),
 )
