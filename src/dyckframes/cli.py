@@ -19,7 +19,7 @@ from itertools import count, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import counting, frames, paths
-from .errors import DyckFramesError, ResourceLimit, refuse_over
+from .errors import DyckFramesError, NotAdmissible, ResourceLimit, refuse_over
 from .verify import run_verification
 
 FORMATS = ("table", "csv", "json")
@@ -45,21 +45,19 @@ def _align(rows: list[list]) -> list[str]:
 
 
 def _emit(fmt: str, doc: dict, rows: Iterable[Sequence], table: list[str] | None = None) -> None:
-    """Print a command's output: json prints doc, csv joins each row with
-    commas, table prints the table lines if given, else each row joined
-    by two spaces.  Rows print in chunks as rows yields them.  A doc
+    """Print a command's output: json prints doc, table prints the table
+    lines if given, and otherwise each row is joined by commas (csv) or
+    two spaces (table).  Rows print in chunks as rows yields them.  A doc
     value may be an iterator, which json writes as an array in the same
     chunks, byte for byte as json.dumps(doc, default=list) would."""
     if fmt == "json":
         sys.stdout.writelines(_json_pieces(doc))
         return
-    lines: Iterable[str]
-    if fmt == "csv":
-        lines = (",".join(map(str, row)) for row in rows)
-    elif table is not None:
-        lines = table
+    if fmt == "table" and table is not None:
+        lines: Iterable[str] = table
     else:
-        lines = ("  ".join(map(str, row)) for row in rows)
+        sep = "," if fmt == "csv" else "  "
+        lines = (sep.join(map(str, row)) for row in rows)
     for chunk in _chunks(lines):  # one write per chunk, not per line
         print("\n".join(chunk))
 
@@ -85,16 +83,20 @@ def _json_pieces(doc: dict) -> Iterator[str]:
     yield "}\n"
 
 
+def _cap(args: argparse.Namespace, cap: int) -> int | None:
+    """The cap a command applies: none at all under --allow-large."""
+    return None if args.allow_large else cap
+
+
 # ---------------------------------------------------------------- feet-table
 
 
-def cmd_feet_table(args: argparse.Namespace, allow_large: bool) -> int:
+def cmd_feet_table(args: argparse.Namespace) -> int:
     if args.max < 0 or args.level < 0:
         raise ValueError("--max and --level must be nonnegative")
     terms = counting.foot_table_terms(args.level, args.max)
-    cap = None if allow_large else counting.FOOT_TABLE_TERM_CAP
     what = f"feet-table --max {args.max} --level {args.level}"
-    refuse_over(what, terms, cap, "packed DP entries")
+    refuse_over(what, terms, _cap(args, counting.FOOT_TABLE_TERM_CAP), "packed DP entries")
     table = counting.feet_table(args.level, args.max)
     start = 1 if args.level == 0 else 0
     columns = list(range(start, max(args.max, MIN_FEET_COLUMNS) + 1))
@@ -115,17 +117,16 @@ def cmd_feet_table(args: argparse.Namespace, allow_large: bool) -> int:
 # --------------------------------------------------------------------- frame
 
 
-def cmd_frame(args: argparse.Namespace, allow_large: bool) -> int:
-    counts = frames.parse_frame_text(args.frame_text)
+def cmd_frame(args: argparse.Namespace) -> int:
     doc: dict = {"command": "frame", "input": args.frame_text, "admissible": False}
-    if not frames.is_admissible_closed(counts):
+    try:
+        fr = frames.Frame.parse(args.frame_text)
+    except NotAdmissible:
         _emit(args.format, doc, [[0]], ["admissible  false"])
         return EXIT_OK
     # The class has at most C_n paths and the canonical path has 2n steps.
-    half = frames.frame_length(counts) // 2
-    cap = None if allow_large else counting.CATALAN_CAP
-    refuse_over(f"frame {args.frame_text}", half, cap, "half-length")
-    fr = frames.Frame(counts)
+    cap = _cap(args, counting.CATALAN_CAP)
+    refuse_over(f"frame {args.frame_text}", fr.length // 2, cap, "half-length")
     ups = list(counting.up_steps_per_level(fr))
     doc.update(
         admissible=True,
@@ -160,7 +161,7 @@ def _colors(text: str | None, flag: str, size: int) -> tuple[int, ...]:
     return frames.parse_counts(text, "color count", flag)
 
 
-def cmd_count(args: argparse.Namespace, allow_large: bool) -> int:
+def cmd_count(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
     doc: dict = {"command": "count", "kind": args.kind, "n": args.n}
@@ -172,8 +173,7 @@ def cmd_count(args: argparse.Namespace, allow_large: bool) -> int:
         if args.colors_h is not None:
             raise ValueError("horizontal colors do not apply to kind dyck")
         if args.colors_u is None and args.colors_d is None:
-            cap = None if allow_large else counting.CATALAN_CAP
-            refuse_over(what, args.n, cap, "half-length")
+            refuse_over(what, args.n, _cap(args, counting.CATALAN_CAP), "half-length")
             doc["count"] = counting.catalan(args.n)
             _emit(args.format, doc, [[doc["count"]]])
             return EXIT_OK
@@ -197,7 +197,7 @@ def cmd_count(args: argparse.Namespace, allow_large: bool) -> int:
             doc["colors"] = {"h": r}
     # Bound the cells before any color vector is built, then charge the
     # weights of the one ColorSpec that is counted.
-    cap = None if allow_large else counting.TRANSFER_CELL_CAP
+    cap = _cap(args, counting.TRANSFER_CELL_CAP)
     refuse_over(what, counting.transfer_cells(steps), cap, "DP cell words")
     levels = steps // 2
     if args.kind == "k-motzkin":
@@ -221,14 +221,13 @@ def cmd_count(args: argparse.Namespace, allow_large: bool) -> int:
 # ----------------------------------------------------------------- enumerate
 
 
-def cmd_enumerate(args: argparse.Namespace, allow_large: bool) -> int:
+def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
     if args.kind == "dyck":
         if args.k is not None:
             raise ValueError("--k only applies to kind motzkin")
-        cap = None if allow_large else paths.DYCK_ENUMERATION_CAP
-        walk = paths.enumerate_dyck(args.n, cap=cap)
+        walk = paths.enumerate_dyck(args.n, cap=_cap(args, paths.DYCK_ENUMERATION_CAP))
     else:
         if args.frame is not None:
             raise ValueError("--frame filtering only applies to kind dyck")
@@ -236,7 +235,7 @@ def cmd_enumerate(args: argparse.Namespace, allow_large: bool) -> int:
             raise ValueError("--with-frame only applies to kind dyck")
         if args.k is not None and args.k < 0:
             raise ValueError("--k must be nonnegative")
-        cap = None if allow_large else paths.MOTZKIN_ENUMERATION_CAP
+        cap = _cap(args, paths.MOTZKIN_ENUMERATION_CAP)
         levels = {args.k} if args.k is not None else None
         walk = paths.enumerate_motzkin(args.n, levels, cap=cap)
 
@@ -288,10 +287,10 @@ def cmd_enumerate(args: argparse.Namespace, allow_large: bool) -> int:
 # -------------------------------------------------------------------- verify
 
 
-def cmd_verify(args: argparse.Namespace, allow_large: bool) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_n < 0:
         raise ValueError("--max-n must be nonnegative")
-    report = run_verification(args.max_n, None if allow_large else paths.DYCK_ENUMERATION_CAP)
+    report = run_verification(args.max_n, _cap(args, paths.DYCK_ENUMERATION_CAP))
     doc = {
         "command": "verify",
         "max_n": report.max_n,
@@ -380,17 +379,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    allow_large = args.allow_large or os.environ.get(
-        ALLOW_LARGE_ENV, ""
-    ).strip().lower() in ("1", "true", "yes")
-    handler: Callable[[argparse.Namespace, bool], int] = args.handler
+    # The one reading of the environment variable; handlers see args alone.
+    env = os.environ.get(ALLOW_LARGE_ENV, "").strip().lower()
+    args.allow_large = args.allow_large or env in ("1", "true", "yes")
+    handler: Callable[[argparse.Namespace], int] = args.handler
     # Exact counts can pass the 4300-digit limit on int-to-str conversion,
     # which print and json.dumps both obey; lift it while the command runs.
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return handler(args, allow_large)
+        return handler(args)
     except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_LIMIT

@@ -17,7 +17,7 @@ class ResourceLimit(DyckFramesError):
     """Work over a size cap, refused by refuse_over before it starts."""
 
 
-def refuse_over(what: str, size: int, cap: int | None, unit: str = "size") -> None:
+def refuse_over(what: str, size: int, cap: int | None, unit: str) -> None:
     """Raise ResourceLimit when size exceeds cap; a cap of None admits any size.
 
     Every capped function and command calls this before its work starts,

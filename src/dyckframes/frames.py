@@ -112,9 +112,14 @@ def is_admissible_trace(seq: Sequence[int] | "Frame") -> bool:
     the first two entries; the sequence is admissible exactly when this
     reaches (1,).  _reduction_ops runs the reduction a level at a time;
     it works on the entries and their running sum, independently of the
-    up-step recurrence behind is_admissible_closed.
+    up-step recurrence behind is_admissible_closed.  An entry that is not
+    a number stops the sums with TypeError: not a frame either.
     """
-    return _reduction_ops(trim(seq)) is not None
+    counts = trim(seq)
+    try:
+        return _reduction_ops(counts) is not None
+    except TypeError:
+        return False
 
 
 def is_admissible_closed(seq: Sequence[int] | "Frame") -> bool:
@@ -124,17 +129,21 @@ def is_admissible_closed(seq: Sequence[int] | "Frame") -> bool:
     from level k are v0 = c0 - 1 and vk = ck - v(k-1).  The sequence is a
     frame exactly when every vk with k < f is at least 1 and vf is 0,
     that is cf == v(f-1).  Then every entry is at least 1, so negative
-    entries are rejected too.  Entries that are not ints can pass these
-    sums, so an accepted sequence has its entry types checked last.  This
-    is up_steps_per_level inlined, kept as a plain loop because the
-    decider is swept over millions of sequences.
+    entries are rejected too.  Entries that are not numbers stop the sums
+    with TypeError, and other numbers can pass them, so an accepted
+    sequence has its entry types checked last.  This is
+    up_steps_per_level inlined, kept as a plain loop because the decider
+    is swept over millions of sequences.
     """
     counts = trim(seq)
     ups = 1
-    for value in counts[:-1]:
-        ups = value - ups
-        if ups < 1:
-            return False
+    try:
+        for value in counts[:-1]:
+            ups = value - ups
+            if ups < 1:
+                return False
+    except TypeError:
+        return False
     return bool(counts) and counts[-1] == ups and all(isinstance(v, int) for v in counts)
 
 
@@ -142,10 +151,11 @@ def is_admissible_closed(seq: Sequence[int] | "Frame") -> bool:
 class Frame:
     """An admissible frame: the per-level foot counts of some Dyck path.
 
-    Construction trims trailing zeros and checks int entries and
-    admissibility, so a Frame value is a proof that a matching path
-    exists.  frame_of and the frame walker build admissible frames
-    through _trusted_frame, which does not check them again.
+    Construction trims trailing zeros and checks admissibility with the
+    closed decider, which also refuses any entry that is not an int, so
+    a Frame value is a proof that a matching path exists.  frame_of and
+    the frame walker build admissible frames through _trusted_frame,
+    which does not check them again.
     """
 
     counts: RawSequence
@@ -153,8 +163,6 @@ class Frame:
     def __post_init__(self) -> None:
         normalized = trim(self.counts)
         object.__setattr__(self, "counts", normalized)
-        if not all(isinstance(v, int) for v in normalized):
-            raise NotAdmissible(f"frame entries must be ints: {normalized!r}")
         if not is_admissible_closed(normalized):
             raise NotAdmissible(f"not the frame of any Dyck path: {normalized!r}")
 
@@ -207,7 +215,7 @@ def parse_frame_text(text: str) -> RawSequence:
 
 def ensure_frame(value: Frame | Sequence[int]) -> Frame:
     """Coerce raw counts to a Frame, proving admissibility on the way."""
-    return value if isinstance(value, Frame) else Frame(trim(value))
+    return value if isinstance(value, Frame) else Frame(value)
 
 
 def frame_of(path: Path) -> Frame:

@@ -164,6 +164,15 @@ class TestFrame:
         assert doc["length"] == 60002 and doc["cardinality"] == 1
         assert doc["canonical"] == "UD" * 30001
 
+    def test_closed_decider_runs_once(self, capsys, monkeypatch):
+        calls = []
+        original = cli.frames.is_admissible_closed
+        monkeypatch.setattr(
+            cli.frames, "is_admissible_closed", lambda seq: calls.append(seq) or original(seq)
+        )
+        assert run(capsys, "frame", "3,4,3,1")[0] == 0
+        assert calls == [(3, 4, 3, 1)]
+
     def test_deepest_frame_at_the_bound(self, capsys):
         code, out = run(capsys, "frame", "2," * 29_999 + "1", "--format", "json")
         assert code == 0
@@ -734,7 +743,37 @@ class TestVerify:
         assert doc["summary"]["failed"] >= 1
 
 
+# Every cap the command line applies: where it is read, a value to shrink
+# it to, and an argv that the shrunk cap refuses.
+CLI_CAPS = {
+    "feet-table": (cli.counting, "FOOT_TABLE_TERM_CAP", 10,
+                   ("feet-table", "--max", "3", "--level", "1")),
+    "frame": (cli.counting, "CATALAN_CAP", 2, ("frame", "3,4,3,1")),
+    "count-dyck": (cli.counting, "CATALAN_CAP", 2, ("count", "dyck", "--n", "5")),
+    "count-dp": (cli.counting, "TRANSFER_CELL_CAP", 10, ("count", "motzkin", "--n", "6")),
+    "enumerate-dyck": (paths_module, "DYCK_ENUMERATION_CAP", 2, ("enumerate", "dyck", "--n", "3")),
+    "enumerate-motzkin": (paths_module, "MOTZKIN_ENUMERATION_CAP", 2,
+                          ("enumerate", "motzkin", "--n", "3")),
+    "verify": (paths_module, "DYCK_ENUMERATION_CAP", 2, ("verify", "--max-n", "3")),
+}
+
+
 class TestHarness:
+    @pytest.mark.parametrize("name", CLI_CAPS)
+    def test_every_cap_lifts_by_flag_or_environment(self, capsys, monkeypatch, name):
+        module, attr, cap, argv = CLI_CAPS[name]
+        monkeypatch.delenv(cli.ALLOW_LARGE_ENV, raising=False)
+        monkeypatch.setattr(module, attr, cap)
+        assert main(list(argv)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.err.endswith(f" exceeds the cap of {cap}\n")
+        code, lifted = run(capsys, *argv, "--allow-large")
+        assert code == 0 and lifted
+        monkeypatch.setenv(cli.ALLOW_LARGE_ENV, "1")
+        assert run(capsys, *argv) == (0, lifted)
+
     @pytest.mark.parametrize(
         "argv",
         [

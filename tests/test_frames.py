@@ -215,6 +215,12 @@ class TestAdmissibility:
             assert not is_admissible_trace(seq), seq
             assert _reduction_ops(seq) is None, seq
 
+    def test_deciders_reject_entries_that_are_not_numbers(self):
+        # Each of these stops a sum of at least one decider with TypeError.
+        for seq in ("21", ("2", "1"), (None,), (2, None), ((1,),), (2, (1,)), (3, "2")):
+            assert not is_admissible_closed(seq), seq
+            assert not is_admissible_trace(seq), seq
+
 
 class TestFrameType:
     def test_trailing_zeros_normalized(self):
@@ -255,6 +261,14 @@ class TestFrameType:
                 Frame(counts)
         with pytest.raises(ValueError):
             frame_cardinality((3.0, 3.0, 1.0))
+
+    def test_entries_that_are_not_ints_fail_the_one_admissibility_check(self):
+        for counts in ("21", ("2", "1"), (None,), (2, None), ((1,),), (2.5, 1.5)):
+            with pytest.raises(NotAdmissible, match="^not the frame of any Dyck path"):
+                Frame(counts)
+            for build in (frame_cardinality, canonical_representative, frame_class):
+                with pytest.raises(NotAdmissible):
+                    build(counts)
 
     def test_non_iterable_input_is_value_error(self):
         for bad in (5, None, 2.5):

@@ -36,6 +36,7 @@ class Mutation(NamedTuple):
 FEET = "tests/test_counting.py::TestFeetTable"
 FEET_CLI = "tests/test_cli.py::TestFeetTable"
 ENUMERATE_CLI = "tests/test_cli.py::TestEnumerate"
+HARNESS_CLI = "tests/test_cli.py::TestHarness::test_every_cap_lifts_by_flag_or_environment"
 ADMISSIBILITY = "tests/test_frames.py::TestAdmissibility"
 # The frame-class walker's two pushes; the last one pushed pops first.
 _PUSH_D = """\
@@ -216,8 +217,8 @@ MUTATIONS = (
     Mutation(
         "csv rows gathered into a list before printing",
         "cli.py",
-        'lines = (",".join(map(str, row)) for row in rows)',
-        'lines = [",".join(map(str, row)) for row in rows]',
+        "lines = (sep.join(map(str, row)) for row in rows)",
+        "lines = [sep.join(map(str, row)) for row in rows]",
         ("tests/test_cli.py::TestEnumerate::test_csv_rows_stream",),
     ),
     Mutation(
@@ -319,11 +320,12 @@ MUTATIONS = (
         "if False:",
         ("tests/test_paths.py::TestParse",),
     ),
+    # Frame checks entry types only through the closed decider.
     Mutation(
         "public Frame constructor takes non-int entries",
         "frames.py",
-        "if not all(isinstance(v, int) for v in normalized):",
-        "if False:",
+        "counts[-1] == ups and all(isinstance(v, int) for v in counts)",
+        "counts[-1] == ups",
         ("tests/test_frames.py::TestFrameType",),
     ),
     Mutation(
@@ -350,9 +352,37 @@ MUTATIONS = (
     Mutation(
         "trim lets a non-iterable input escape as TypeError",
         "frames.py",
-        "except TypeError:",
-        "except ():",
+        "except TypeError:\n            raise ValueError(",
+        "except ():\n            raise ValueError(",
         ("tests/test_frames.py::TestFrameType",),
+    ),
+    Mutation(
+        "closed decider lets an entry that is not a number escape as TypeError",
+        "frames.py",
+        "    except TypeError:\n        return False\n    return bool(counts)",
+        "    except ():\n        return False\n    return bool(counts)",
+        (ADMISSIBILITY,),
+    ),
+    Mutation(
+        "trace decider lets an entry that is not a number escape as TypeError",
+        "frames.py",
+        "return _reduction_ops(counts) is not None\n    except TypeError:",
+        "return _reduction_ops(counts) is not None\n    except ():",
+        (ADMISSIBILITY,),
+    ),
+    Mutation(
+        "main ignores the environment variable",
+        "cli.py",
+        'env = os.environ.get(ALLOW_LARGE_ENV, "").strip().lower()',
+        'env = ""',
+        (HARNESS_CLI,),
+    ),
+    Mutation(
+        "a cap is still applied under --allow-large",
+        "cli.py",
+        "return None if args.allow_large else cap",
+        "return cap",
+        (HARNESS_CLI,),
     ),
     Mutation(
         "binomial identity takes a non-int m",
