@@ -12,7 +12,6 @@ or a size too large to represent under --allow-large.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from itertools import count, islice
@@ -69,17 +68,25 @@ def _chunks(items: Iterable) -> Iterator[list]:
 
 
 def _json_pieces(doc: dict) -> Iterator[str]:
-    """The line json.dumps(doc, default=list) prints, in pieces."""
+    """The line json.dumps(doc, default=list) prints, in pieces.
+
+    json is imported here, so the other formats never load it.  One
+    encoder with the settings of json.dumps(..., default=list) serves
+    every piece; it skips the check for cycles, which no doc has.
+    """
+    import json
+
+    encode = json.JSONEncoder(default=list, check_circular=False).encode
     yield "{"
     for i, (key, value) in enumerate(doc.items()):
-        yield f"{', ' if i else ''}{json.dumps(key)}: "
+        yield f"{', ' if i else ''}{encode(key)}: "
         if isinstance(value, Iterator):
             yield "["
             for j, chunk in enumerate(_chunks(value)):
-                yield (", " if j else "") + json.dumps(chunk, default=list)[1:-1]
+                yield (", " if j else "") + encode(chunk)[1:-1]
             yield "]"
         else:
-            yield json.dumps(value, default=list)
+            yield encode(value)
     yield "}\n"
 
 

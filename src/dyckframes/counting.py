@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from itertools import islice, zip_longest
 from operator import mul
 from typing import Iterator, Sequence
@@ -24,6 +23,7 @@ from .frames import (
     enumerate_frames,
     up_steps_per_level,
 )
+from .paths import Frozen
 
 # Size caps the command line applies before a count starts.  The transfer
 # DP cap is in level-by-step cells, each charged the 64-bit words of the
@@ -151,8 +151,7 @@ def frame_cardinality(frame: Frame | Sequence[int]) -> int:
     return math.prod(math.comb(count - 1, up) for count, up in pairs)
 
 
-@dataclass(frozen=True)
-class ColorSpec:
+class ColorSpec(Frozen):
     """Available colors per level (h) and per gap between levels (u, d).
 
     h[k] colors horizontal steps resting at level k, with 0 meaning no
@@ -161,16 +160,21 @@ class ColorSpec:
     so every count stays exact.
     """
 
-    h: tuple[int, ...] = ()
-    u: tuple[int, ...] = ()
-    d: tuple[int, ...] = ()
+    __slots__ = ("h", "u", "d")
+    h: tuple[int, ...]
+    u: tuple[int, ...]
+    d: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        for name in ("h", "u", "d"):
-            vec = tuple(getattr(self, name))
+    def __init__(
+        self, h: Sequence[int] = (), u: Sequence[int] = (), d: Sequence[int] = ()
+    ) -> None:
+        vecs = []
+        for name, vec in zip(self.__slots__, (h, u, d)):
+            vec = tuple(vec)
             if any(not isinstance(v, int) or v < 0 for v in vec):
                 raise ValueError(f"color counts in {name} must be nonnegative ints")
-            object.__setattr__(self, name, vec)
+            vecs.append(vec)
+        self._freeze(*vecs)
 
 
 def _require_entries(vec: tuple[int, ...], size: int, name: str) -> None:

@@ -15,11 +15,10 @@ admissible frame, and walks the class of paths that have that frame.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotAdmissible, NotDyck, NotLifted, Underflow, refuse_over
-from .paths import Path, _trusted
+from .paths import Frozen, Path, _set_values, _trusted
 
 FRAME_ENUMERATION_CAP = 20
 
@@ -33,7 +32,13 @@ RawSequence = tuple[int, ...]
 
 
 def trim(seq: Iterable[int] | "Frame") -> RawSequence:
-    """Copy a sequence as a tuple with trailing zeros removed."""
+    """A sequence as a tuple with trailing zeros removed.
+
+    A tuple whose last entry is not 0 is returned as it is, without a
+    copy or a scan: the deciders trim every sequence they are given.
+    """
+    if type(seq) is tuple and seq and seq[-1] != 0:
+        return seq
     if isinstance(seq, Frame):
         counts = seq.counts
     else:
@@ -147,8 +152,7 @@ def is_admissible_closed(seq: Sequence[int] | "Frame") -> bool:
     return bool(counts) and counts[-1] == ups and all(isinstance(v, int) for v in counts)
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(Frozen):
     """An admissible frame: the per-level foot counts of some Dyck path.
 
     Construction trims trailing zeros and checks admissibility with the
@@ -158,13 +162,14 @@ class Frame:
     which does not check them again.
     """
 
+    __slots__ = ("counts",)
     counts: RawSequence
 
-    def __post_init__(self) -> None:
-        normalized = trim(self.counts)
-        object.__setattr__(self, "counts", normalized)
+    def __init__(self, counts: RawSequence) -> None:
+        normalized = trim(counts)
         if not is_admissible_closed(normalized):
             raise NotAdmissible(f"not the frame of any Dyck path: {normalized!r}")
+        self._freeze(normalized)
 
     @property
     def degree(self) -> int:
@@ -190,10 +195,14 @@ class Frame:
 NULL_FRAME = Frame((1,))
 
 
+_set_counts = Frame.counts.__set__
+
+
 def _trusted_frame(counts: RawSequence) -> Frame:
     """A Frame over trimmed, admissible counts, set without a check."""
     frame = object.__new__(Frame)
-    object.__setattr__(frame, "counts", counts)
+    _set_counts(frame, counts)
+    _set_values(frame, (counts,))
     return frame
 
 

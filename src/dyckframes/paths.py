@@ -8,7 +8,6 @@ counting formula elsewhere in the package is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import MalformedPath, refuse_over
@@ -39,8 +38,53 @@ def _walk(text: str) -> Iterator[int]:
         raise MalformedPath(f"path ends at level {level}, not 0: {text!r}")
 
 
-@dataclass(frozen=True)
-class Path:
+class Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in __slots__, in constructor order, and
+    its __init__ sets them once, through _freeze; assigning or deleting
+    an attribute raises AttributeError, as on a frozen dataclass.  The
+    field tuple is kept beside the fields, so that equality (of the
+    same class only) and the hash, which are those of the field tuple,
+    read one slot instead of every field.  pickle and copy rebuild a
+    value through its constructor, which checks it again.
+    """
+
+    __slots__ = ("_values",)
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = cls.__slots__
+
+    def _freeze(self, *values) -> None:
+        """Set the fields to values, in __slots__ order, and their tuple."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Path(Frozen):
     """An immutable lattice path, stored as its string of U, D, and H steps.
 
     Validity (a str of step characters only, never below level 0, ending
@@ -50,13 +94,15 @@ class Path:
     them again.
     """
 
-    text: str = ""
+    __slots__ = ("text",)
+    text: str
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.text, str):
-            raise MalformedPath(f"path text must be a str, got {self.text!r}")
-        for _ in _walk(self.text):
+    def __init__(self, text: str = "") -> None:
+        if not isinstance(text, str):
+            raise MalformedPath(f"path text must be a str, got {text!r}")
+        for _ in _walk(text):
             pass
+        self._freeze(text)
 
     def __str__(self) -> str:
         return self.text
@@ -76,10 +122,14 @@ class Path:
 NULL_PATH = Path()
 
 
+_set_text, _set_values = Path.text.__set__, Frozen._values.__set__
+
+
 def _trusted(text: str) -> Path:
     """A Path over text that is valid by construction, set without a check."""
     path = object.__new__(Path)
-    object.__setattr__(path, "text", text)
+    _set_text(path, text)
+    _set_values(path, (text,))
     return path
 
 

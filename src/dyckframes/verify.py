@@ -6,28 +6,33 @@ module objects, so a fault planted in one of them shows up in the checks.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from . import counting, frames, paths
 from .errors import refuse_over
 
 
-@dataclass(frozen=True)
-class VerifyCheck:
+class VerifyCheck(paths.Frozen):
+    __slots__ = ("name", "params", "expected", "actual")
     name: str
     params: str
     expected: int
     actual: int
+
+    def __init__(self, name: str, params: str, expected: int, actual: int) -> None:
+        self._freeze(name, params, expected, actual)
 
     @property
     def passed(self) -> bool:
         return self.expected == self.actual
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(paths.Frozen):
+    __slots__ = ("max_n", "checks")
     max_n: int
     checks: tuple[VerifyCheck, ...]
+
+    def __init__(self, max_n: int, checks: tuple[VerifyCheck, ...]) -> None:
+        self._freeze(max_n, checks)
 
     @property
     def total(self) -> int:

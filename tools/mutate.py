@@ -245,8 +245,8 @@ MUTATIONS = (
     Mutation(
         "json chunks joined without a separator",
         "cli.py",
-        'yield (", " if j else "") + json.dumps(chunk, default=list)[1:-1]',
-        'yield json.dumps(chunk, default=list)[1:-1]',
+        'yield (", " if j else "") + encode(chunk)[1:-1]',
+        "yield encode(chunk)[1:-1]",
         ("tests/test_cli.py::TestEnumerate::test_json_streams_byte_for_byte",),
     ),
     Mutation(
@@ -280,7 +280,7 @@ MUTATIONS = (
     Mutation(
         "public Path constructor skips its check",
         "paths.py",
-        "        for _ in _walk(self.text):\n            pass\n",
+        "        for _ in _walk(text):\n            pass\n",
         "        pass\n",
         ("tests/test_paths.py::TestParse",),
     ),
@@ -316,9 +316,23 @@ MUTATIONS = (
     Mutation(
         "public Path constructor takes any sequence of steps",
         "paths.py",
-        "if not isinstance(self.text, str):",
+        "if not isinstance(text, str):",
         "if False:",
         ("tests/test_paths.py::TestParse",),
+    ),
+    Mutation(
+        "value types accept assignment to a field",
+        "paths.py",
+        '        raise AttributeError(f"cannot assign to field {name!r}")',
+        "        object.__setattr__(self, name, value)",
+        ("tests/test_values.py::TestFrozen",),
+    ),
+    Mutation(
+        "trim returns a tuple with trailing zeros as it is",
+        "frames.py",
+        "if type(seq) is tuple and seq and seq[-1] != 0:",
+        "if type(seq) is tuple:",
+        ("tests/test_frames.py::TestFrameType",),
     ),
     # Frame checks entry types only through the closed decider.
     Mutation(
