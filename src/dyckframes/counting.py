@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from itertools import islice, zip_longest
-from operator import mul
+from operator import getitem, mul
 from typing import Iterator, Sequence
 
 from .errors import refuse_over
@@ -54,8 +54,8 @@ def binomial(top: int, bottom: int) -> int:
 
 def catalan(n: int) -> int:
     """The n-th Catalan number, binomial(2n, n) / (n + 1)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("n must be a nonnegative int")
     return math.comb(2 * n, n) // (n + 1)
 
 
@@ -74,8 +74,9 @@ class FootTable:
     """
 
     def __init__(self, max_level: int, max_half_length: int) -> None:
-        if max_level < 0 or max_half_length < 0:
-            raise ValueError("table bounds must be nonnegative")
+        if (not isinstance(max_level, int) or max_level < 0
+                or not isinstance(max_half_length, int) or max_half_length < 0):
+            raise ValueError("table bounds must be nonnegative ints")
         self._max_level = max_level
         self._max_half_length = max_half_length
         self._levels: dict[int, list[tuple[int, ...]]] = {}
@@ -107,8 +108,9 @@ class FootTable:
 
     def row(self, half_length: int, level: int) -> tuple[int, ...]:
         """All counts for one length and level, from 0 feet upward."""
-        if half_length < 0 or level < 0:
-            raise ValueError("arguments must be nonnegative")
+        if (not isinstance(half_length, int) or half_length < 0
+                or not isinstance(level, int) or level < 0):
+            raise ValueError("arguments must be nonnegative ints")
         if half_length > self._max_half_length:
             self._max_half_length = half_length
             self._levels.clear()
@@ -119,8 +121,8 @@ class FootTable:
 
     def count(self, half_length: int, level: int, feet: int) -> int:
         """Number of Dyck paths of length 2 * half_length with feet nodes at level."""
-        if feet < 0:
-            raise ValueError("arguments must be nonnegative")
+        if not isinstance(feet, int) or feet < 0:
+            raise ValueError("arguments must be nonnegative ints")
         row = self.row(half_length, level)
         return row[feet] if feet < len(row) else 0
 
@@ -278,8 +280,8 @@ def count_k_motzkin(n: int, k: int, r: int = 1) -> int:
     horizontal step, which leaves the Dyck paths of length n.
     count_k_motzkin_by_feet is the second route.
     """
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be nonnegative")
+    if not isinstance(n, int) or n < 0 or not isinstance(k, int) or k < 0:
+        raise ValueError("n and k must be nonnegative ints")
     if r < 1:
         raise ValueError("r must be at least 1")
     return count_colored_motzkin(n, k_motzkin_colors(n, k, r))
@@ -299,8 +301,8 @@ def count_colored_motzkin(n: int, colors: ColorSpec) -> int:
     the step.  Every path count here is this one on its own ColorSpec;
     count_by_frames is the second route.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("n must be a nonnegative int")
     return _transfer_count(n, *_jacobi_weights(n, colors))
 
 
@@ -336,8 +338,8 @@ def count_by_frames(
     ValueError, as in the DP, and frames of half-length above cap raise
     ResourceLimit, both before any frame is enumerated.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("n must be a nonnegative int")
     _jacobi_weights(n, colors)  # the DP's rule for the vector lengths
     levels = n // 2
     refuse_over("frame sum", levels, cap, "half-length")
@@ -366,8 +368,8 @@ def count_k_motzkin_by_feet(n: int, k: int, r: int = 1) -> int:
     entry still counts the bare Dyck paths when n == 2j, via
     binomial(-1, 0) == 1.
     """
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be nonnegative")
+    if not isinstance(n, int) or n < 0 or not isinstance(k, int) or k < 0:
+        raise ValueError("n and k must be nonnegative ints")
     if r < 1:
         raise ValueError("r must be at least 1")
     half = n // 2
@@ -389,8 +391,8 @@ def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     binomial(total + parts - 1, total) of them.  Zero parts are allowed
     only for a zero total, which yields the empty composition.
     """
-    if total < 0 or parts < 0:
-        raise ValueError("total and parts must be nonnegative")
+    if not isinstance(total, int) or total < 0 or not isinstance(parts, int) or parts < 0:
+        raise ValueError("total and parts must be nonnegative ints")
     if parts == 0 and total > 0:
         raise ValueError("cannot compose a positive total into zero parts")
     return _compositions(total, parts)
@@ -421,6 +423,9 @@ def binomial_identity_check(m: int, parts: Sequence[int]) -> bool:
     Distributing m items over bins of capacities given by parts, counted
     all at once, must agree with the sum over weak compositions of the
     per-bin binomial products; with no bins and m >= 1 both sides are 0.
+    Each bin's column of binomial(a + size - 1, a) for a = 0..m is built
+    once per call, and the sum still visits every weak composition,
+    multiplying one column entry per bin.
     """
     if not isinstance(m, int) or m < 0:
         raise ValueError("m must be a nonnegative int")
@@ -428,12 +433,7 @@ def binomial_identity_check(m: int, parts: Sequence[int]) -> bool:
     if any(not isinstance(v, int) or v < 0 for v in sizes):
         raise ValueError("part sizes must be nonnegative ints")
     direct = binomial(m + sum(sizes) - 1, m)
-    spread = 0
-    for split in weak_compositions(m, len(sizes)) if sizes or not m else ():
-        term = 1
-        for amount, size in zip(split, sizes):
-            term *= binomial(amount + size - 1, amount)
-            if term == 0:
-                break
-        spread += term
+    columns = [[binomial(amount + size - 1, amount) for amount in range(m + 1)] for size in sizes]
+    splits = weak_compositions(m, len(sizes)) if sizes or not m else ()
+    spread = sum(math.prod(map(getitem, columns, split)) for split in splits)
     return direct == spread

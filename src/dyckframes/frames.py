@@ -262,8 +262,8 @@ def enumerate_frames(
     for n > 0.  Frames come out in the order of their choices of
     lifting (first) and extension, read from the null frame up.
     """
-    if half_length < 0:
-        raise ValueError("half_length must be nonnegative")
+    if not isinstance(half_length, int) or half_length < 0:
+        raise ValueError("half_length must be a nonnegative int")
     refuse_over("frame enumeration", half_length, cap, "half-length")
     return _frames(half_length)
 
@@ -353,18 +353,16 @@ def _reduction_ops(counts: RawSequence) -> list[int] | None:
     too small to give x - 2 needs no check of its own: it leaves a
     leading entry below 2 one level later, or a last entry that is not 1.
     The list records one count per erased level, lowest first.  Entries
-    that are not ints can reach (1,) too, so they are refused at the end.
+    that are not ints, and negative entries, can reach (1,) too, so both
+    are refused there, on the accept path.
     """
-    for value in counts:
-        if value < 0:
-            return None
     total = sum(counts)
     ops: list[int] = []
     taken = 0  # what the level below took from this entry
     for x in counts:
         x -= taken
         if total < 2:
-            if total == 1 and x == 1 and all(isinstance(v, int) for v in counts):
+            if total == 1 and x == 1 and all(isinstance(v, int) and v >= 0 for v in counts):
                 return ops
             return None
         if x < 2:

@@ -6,6 +6,7 @@ module objects, so a fault planted in one of them shows up in the checks.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 
 from . import counting, frames, paths
 from .errors import refuse_over
@@ -53,9 +54,11 @@ class VerifyReport(paths.Frozen):
 
 def _sequences_up_to(max_len: int, max_sum: int):
     """Every tuple of nonnegative ints with bounded length and entry sum."""
-    for length in range(max_len + 1):
-        for total in range(max_sum + 1 if length else 1):
-            yield from counting.weak_compositions(total, length)
+    return chain.from_iterable(
+        counting.weak_compositions(total, length)
+        for length in range(max_len + 1)
+        for total in range(max_sum + 1 if length else 1)
+    )
 
 
 def _positive_vectors(max_sum: int):
@@ -73,8 +76,8 @@ def run_verification(max_n: int, cap: int | None = paths.DYCK_ENUMERATION_CAP) -
     cap raises ResourceLimit before any work; cap=None lifts the guard.
     The Motzkin and frame walks stay under their own caps.
     """
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
+    if not isinstance(max_n, int) or max_n < 0:
+        raise ValueError("max_n must be a nonnegative int")
     refuse_over("verification", max_n, cap, "max_n")
     checks: list[VerifyCheck] = []
 
@@ -201,10 +204,10 @@ def run_verification(max_n: int, cap: int | None = paths.DYCK_ENUMERATION_CAP) -
 
     entries = min(max_n, 6)
     entry_sum = min(2 * max_n + 1, 17)
+    # Bound per call, not at import, so a decider planted in frames shows.
+    trace, closed = frames.is_admissible_trace, frames.is_admissible_closed
     disagreements = sum(
-        1
-        for seq in _sequences_up_to(entries, entry_sum)
-        if frames.is_admissible_trace(seq) != frames.is_admissible_closed(seq)
+        1 for seq in _sequences_up_to(entries, entry_sum) if trace(seq) != closed(seq)
     )
     add("decider_agreement", f"len<={entries} sum<={entry_sum}", 0, disagreements)
 

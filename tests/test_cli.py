@@ -711,6 +711,11 @@ class TestVerify:
         assert calls == []
         assert run(capsys, "verify", "--max-n", "3", "--allow-large")[0] == 0
 
+    def test_negative_and_non_int_max_n_rejected(self):
+        for max_n in (-1, 2.5, "3"):
+            with pytest.raises(ValueError, match="max_n must be a nonnegative int"):
+                verify_module.run_verification(max_n)
+
     def test_default_cap_is_refused_up_front(self, capsys):
         start = time.perf_counter()
         assert run(capsys, "verify", "--max-n", "17") == (3, "")
@@ -733,6 +738,12 @@ class TestVerify:
             if sum(t) <= 6
         }
         assert len(vectors) == len(set(vectors)) and set(vectors) == brute
+        # The sizes verify serves at --max-n 8: a faster generator must not
+        # shrink a sweep.
+        served = Counter(verify_module._sequences_up_to(6, 17))
+        assert len(served) == sum(served.values()) == math.comb(24, 6) == 134_596
+        served = Counter(verify_module._positive_vectors(8))
+        assert len(served) == sum(served.values()) == 2**8 - 1
 
     def test_injected_fault_fails(self, capsys, monkeypatch):
         original = cli.counting.catalan

@@ -150,8 +150,9 @@ class TestCatalan:
             assert catalan(n) == math.comb(2 * n, n) // (n + 1)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            catalan(-1)
+        for n in (-1, 2.5, "3"):
+            with pytest.raises(ValueError):
+                catalan(n)
 
 
 class TestFeetLevel0:
@@ -267,6 +268,17 @@ class TestFeetTable:
             table.count(1, 1, -1)
         with pytest.raises(ValueError):
             feet_table(-1, 2)
+        for bad in (1.5, "1"):
+            with pytest.raises(ValueError):
+                feet_table(bad, 2)
+            with pytest.raises(ValueError):
+                feet_table(1, bad)
+            with pytest.raises(ValueError):
+                table.row(bad, 1)
+            with pytest.raises(ValueError):
+                table.row(1, bad)
+            with pytest.raises(ValueError):
+                table.count(1, 1, bad)
 
 
 class TestFrameCardinality:
@@ -389,6 +401,11 @@ class TestKMotzkin:
             count_k_motzkin(3, 0, 0)
         with pytest.raises(ValueError):
             count_k_motzkin(-1, 0)
+        for n, k in ((2.5, 0), ("3", 0), (3, 0.5), (3, "0")):
+            with pytest.raises(ValueError):
+                count_k_motzkin(n, k)
+            with pytest.raises(ValueError):
+                count_k_motzkin_by_feet(n, k)
 
 
 class TestMotzkin:
@@ -443,6 +460,14 @@ class TestColoredMotzkin:
     def test_short_vectors_rejected(self):
         with pytest.raises(ValueError):
             count_colored_motzkin(4, ColorSpec(h=(1, 1), u=(1, 1), d=(1, 1)))
+
+    def test_negative_and_non_int_lengths_rejected(self):
+        spec = self.ones_spec(4)
+        for n in (-1, 2.5, "4"):
+            with pytest.raises(ValueError):
+                count_colored_motzkin(n, spec)
+            with pytest.raises(ValueError):
+                count_by_frames(n, spec)
 
     def test_negative_colors_rejected(self):
         with pytest.raises(ValueError):
@@ -526,6 +551,11 @@ class TestWeakCompositions:
         assert list(weak_compositions(0, 0)) == [()]
         with pytest.raises(ValueError):
             weak_compositions(1, 0)
+
+    def test_negative_and_non_int_arguments_rejected(self):
+        for total, parts in ((-1, 2), (2, -1), (2.5, 2), (2, 2.0), ("2", 2), (2, "2")):
+            with pytest.raises(ValueError):
+                weak_compositions(total, parts)
 
     def test_all_distinct_and_correct_sum(self):
         seen = list(weak_compositions(5, 3))

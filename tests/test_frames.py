@@ -300,6 +300,11 @@ class TestEnumerateFrames:
         with pytest.raises(ResourceLimit):
             enumerate_frames(21)
 
+    def test_negative_and_non_int_rejected(self):
+        for n in (-1, 2.5, "3"):
+            with pytest.raises(ValueError):
+                enumerate_frames(n)
+
 
 class TestFrameClass:
     def test_matches_the_filtered_walk(self):

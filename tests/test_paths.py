@@ -131,8 +131,9 @@ class TestFootCount:
         assert foot_count(parse_path("UD"), 0) == 2
 
     def test_negative_level_rejected(self):
-        with pytest.raises(ValueError):
-            foot_count(NULL_PATH, -1)
+        for level in (-1, 0.5, "1"):
+            with pytest.raises(ValueError):
+                foot_count(NULL_PATH, level)
 
 
 class TestLiftGlue:
@@ -185,13 +186,19 @@ class TestEnumerateDyck:
         assert next(enumerate_dyck(600, cap=None)).text == "U" * 600 + "D" * 600
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_dyck(-1)
+        for n in (-1, 2.5, "3"):
+            with pytest.raises(ValueError):
+                enumerate_dyck(n)
 
 
 class TestEnumerateMotzkin:
     def test_nine_paths_of_length_four(self):
         assert sum(1 for _ in enumerate_motzkin(4)) == 9
+
+    def test_negative_and_non_int_rejected(self):
+        for n in (-1, 2.5, "3"):
+            with pytest.raises(ValueError):
+                enumerate_motzkin(n)
 
     def test_ground_level_only_length_three(self):
         texts = [p.text for p in enumerate_motzkin(3, {0})]

@@ -350,6 +350,27 @@ MUTATIONS = (
         ("tests/test_counting.py::TestBinomialIdentity",),
     ),
     Mutation(
+        "binomial identity column stops short of m",
+        "counting.py",
+        "for amount in range(m + 1)]",
+        "for amount in range(m)]",
+        ("tests/test_counting.py::TestBinomialIdentity",),
+    ),
+    Mutation(
+        "binomial identity column off by one",
+        "counting.py",
+        "binomial(amount + size - 1, amount)",
+        "binomial(amount + size, amount)",
+        ("tests/test_counting.py::TestBinomialIdentity",),
+    ),
+    Mutation(
+        "weak_compositions takes a non-int size",
+        "counting.py",
+        "if not isinstance(total, int) or total < 0 or not isinstance(parts, int) or parts < 0:",
+        "if total < 0 or parts < 0:",
+        ("tests/test_counting.py::TestWeakCompositions",),
+    ),
+    Mutation(
         "closed decider accepts non-int entries",
         "frames.py",
         "counts[-1] == ups and all(isinstance(v, int) for v in counts)",
@@ -359,8 +380,15 @@ MUTATIONS = (
     Mutation(
         "reducer accepts non-int entries",
         "frames.py",
+        "x == 1 and all(isinstance(v, int) and v >= 0 for v in counts):",
+        "x == 1 and all(v >= 0 for v in counts):",
+        (ADMISSIBILITY,),
+    ),
+    Mutation(
+        "reducer accepts negative entries",
+        "frames.py",
+        "x == 1 and all(isinstance(v, int) and v >= 0 for v in counts):",
         "x == 1 and all(isinstance(v, int) for v in counts):",
-        "x == 1:",
         (ADMISSIBILITY,),
     ),
     Mutation(
