@@ -99,8 +99,6 @@ def _cap(args: argparse.Namespace, cap: int) -> int | None:
 
 
 def cmd_feet_table(args: argparse.Namespace) -> int:
-    if args.max < 0 or args.level < 0:
-        raise ValueError("--max and --level must be nonnegative")
     terms = counting.foot_table_terms(args.level, args.max)
     what = f"feet-table --max {args.max} --level {args.level}"
     refuse_over(what, terms, _cap(args, counting.FOOT_TABLE_TERM_CAP), "packed DP entries")
@@ -169,8 +167,6 @@ def _colors(text: str | None, flag: str, size: int) -> tuple[int, ...]:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    if args.n < 0:
-        raise ValueError("--n must be nonnegative")
     doc: dict = {"command": "count", "kind": args.kind, "n": args.n}
     what = f"count {args.kind} --n {args.n}"
     if args.kind != "k-motzkin" and args.k is not None:
@@ -188,8 +184,6 @@ def cmd_count(args: argparse.Namespace) -> int:
     elif args.kind == "k-motzkin":
         if args.k is None:
             raise ValueError("kind k-motzkin requires --k")
-        if args.k < 0:
-            raise ValueError("--k must be nonnegative")
         if args.colors_u is not None or args.colors_d is not None:
             raise ValueError("up/down colors do not apply to kind k-motzkin")
         r = 1
@@ -229,8 +223,6 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.n < 0:
-        raise ValueError("--n must be nonnegative")
     if args.kind == "dyck":
         if args.k is not None:
             raise ValueError("--k only applies to kind motzkin")
@@ -240,8 +232,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             raise ValueError("--frame filtering only applies to kind dyck")
         if args.with_frame:
             raise ValueError("--with-frame only applies to kind dyck")
-        if args.k is not None and args.k < 0:
-            raise ValueError("--k must be nonnegative")
         cap = _cap(args, paths.MOTZKIN_ENUMERATION_CAP)
         levels = {args.k} if args.k is not None else None
         walk = paths.enumerate_motzkin(args.n, levels, cap=cap)
@@ -295,8 +285,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.max_n < 0:
-        raise ValueError("--max-n must be nonnegative")
     report = run_verification(args.max_n, _cap(args, paths.DYCK_ENUMERATION_CAP))
     doc = {
         "command": "verify",
@@ -396,6 +384,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
+        # Every size flag a command was given, checked before any handler runs.
+        for flag in ("n", "k", "max", "level", "max_n"):
+            if (getattr(args, flag, None) or 0) < 0:
+                raise ValueError(f"--{flag.replace('_', '-')} must be nonnegative")
         return handler(args)
     except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from itertools import islice, zip_longest
 from operator import getitem, mul
 from typing import Iterator, Sequence
 
-from .errors import refuse_over
+from .errors import refuse_over, require_size
 from .frames import (
     FRAME_ENUMERATION_CAP,
     Frame,
@@ -54,8 +54,7 @@ def binomial(top: int, bottom: int) -> int:
 
 def catalan(n: int) -> int:
     """The n-th Catalan number, binomial(2n, n) / (n + 1)."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a nonnegative int")
+    require_size("n", n)
     return math.comb(2 * n, n) // (n + 1)
 
 
@@ -74,9 +73,8 @@ class FootTable:
     """
 
     def __init__(self, max_level: int, max_half_length: int) -> None:
-        if (not isinstance(max_level, int) or max_level < 0
-                or not isinstance(max_half_length, int) or max_half_length < 0):
-            raise ValueError("table bounds must be nonnegative ints")
+        require_size("max_level", max_level)
+        require_size("max_half_length", max_half_length)
         self._max_level = max_level
         self._max_half_length = max_half_length
         self._levels: dict[int, list[tuple[int, ...]]] = {}
@@ -108,9 +106,8 @@ class FootTable:
 
     def row(self, half_length: int, level: int) -> tuple[int, ...]:
         """All counts for one length and level, from 0 feet upward."""
-        if (not isinstance(half_length, int) or half_length < 0
-                or not isinstance(level, int) or level < 0):
-            raise ValueError("arguments must be nonnegative ints")
+        require_size("half_length", half_length)
+        require_size("level", level)
         if half_length > self._max_half_length:
             self._max_half_length = half_length
             self._levels.clear()
@@ -121,8 +118,7 @@ class FootTable:
 
     def count(self, half_length: int, level: int, feet: int) -> int:
         """Number of Dyck paths of length 2 * half_length with feet nodes at level."""
-        if not isinstance(feet, int) or feet < 0:
-            raise ValueError("arguments must be nonnegative ints")
+        require_size("feet", feet)
         row = self.row(half_length, level)
         return row[feet] if feet < len(row) else 0
 
@@ -260,6 +256,7 @@ def count_colored_dyck(n: int, colors: ColorSpec) -> int:
     reduce this to the Catalan number; count_by_frames is the second
     route.
     """
+    require_size("n", n)
     return count_colored_motzkin(2 * n, ColorSpec((0,) * (n + 1), colors.u, colors.d))
 
 
@@ -268,9 +265,19 @@ def k_motzkin_colors(n: int, k: int, r: int = 1) -> ColorSpec:
     k, if k <= n // 2, and 0 elsewhere, and every gap weighs 1.  The
     vectors are repeated tuples, so a length too large to hold raises
     OverflowError or MemoryError at once."""
+    require_size("n", n)
+    require_size("k", k)
+    require_size("r", r)
     levels = n // 2
     h = (0,) * (levels + 1) if k > levels else (0,) * k + (r,) + (0,) * (levels - k)
     return ColorSpec(h, (1,) * levels, (1,) * levels)
+
+
+def _require_r(r: int) -> None:
+    """The k-Motzkin pair's rule for r: a size, and at least 1."""
+    require_size("r", r)
+    if r < 1:
+        raise ValueError("r must be at least 1")
 
 
 def count_k_motzkin(n: int, k: int, r: int = 1) -> int:
@@ -280,15 +287,13 @@ def count_k_motzkin(n: int, k: int, r: int = 1) -> int:
     horizontal step, which leaves the Dyck paths of length n.
     count_k_motzkin_by_feet is the second route.
     """
-    if not isinstance(n, int) or n < 0 or not isinstance(k, int) or k < 0:
-        raise ValueError("n and k must be nonnegative ints")
-    if r < 1:
-        raise ValueError("r must be at least 1")
+    _require_r(r)
     return count_colored_motzkin(n, k_motzkin_colors(n, k, r))
 
 
 def count_motzkin(n: int) -> int:
     """The n-th Motzkin number: paths weighted 1 on every step."""
+    require_size("n", n)
     levels = n // 2
     return count_colored_motzkin(n, ColorSpec((1,) * (levels + 1), (1,) * levels, (1,) * levels))
 
@@ -301,8 +306,7 @@ def count_colored_motzkin(n: int, colors: ColorSpec) -> int:
     the step.  Every path count here is this one on its own ColorSpec;
     count_by_frames is the second route.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a nonnegative int")
+    require_size("n", n)
     return _transfer_count(n, *_jacobi_weights(n, colors))
 
 
@@ -338,8 +342,7 @@ def count_by_frames(
     ValueError, as in the DP, and frames of half-length above cap raise
     ResourceLimit, both before any frame is enumerated.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a nonnegative int")
+    require_size("n", n)
     _jacobi_weights(n, colors)  # the DP's rule for the vector lengths
     levels = n // 2
     refuse_over("frame sum", levels, cap, "half-length")
@@ -368,10 +371,9 @@ def count_k_motzkin_by_feet(n: int, k: int, r: int = 1) -> int:
     entry still counts the bare Dyck paths when n == 2j, via
     binomial(-1, 0) == 1.
     """
-    if not isinstance(n, int) or n < 0 or not isinstance(k, int) or k < 0:
-        raise ValueError("n and k must be nonnegative ints")
-    if r < 1:
-        raise ValueError("r must be at least 1")
+    require_size("n", n)
+    require_size("k", k)
+    _require_r(r)
     half = n // 2
     table = feet_table(k, half)
     total = 0
@@ -391,8 +393,8 @@ def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     binomial(total + parts - 1, total) of them.  Zero parts are allowed
     only for a zero total, which yields the empty composition.
     """
-    if not isinstance(total, int) or total < 0 or not isinstance(parts, int) or parts < 0:
-        raise ValueError("total and parts must be nonnegative ints")
+    require_size("total", total)
+    require_size("parts", parts)
     if parts == 0 and total > 0:
         raise ValueError("cannot compose a positive total into zero parts")
     return _compositions(total, parts)
@@ -427,8 +429,7 @@ def binomial_identity_check(m: int, parts: Sequence[int]) -> bool:
     once per call, and the sum still visits every weak composition,
     multiplying one column entry per bin.
     """
-    if not isinstance(m, int) or m < 0:
-        raise ValueError("m must be a nonnegative int")
+    require_size("m", m)
     sizes = tuple(parts)
     if any(not isinstance(v, int) or v < 0 for v in sizes):
         raise ValueError("part sizes must be nonnegative ints")

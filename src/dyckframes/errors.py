@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and its one size guard."""
+"""Exception types shared across the package, and its two argument guards:
+refuse_over for work over a size cap, require_size for every size argument."""
 
 
 class DyckFramesError(Exception):
@@ -25,6 +26,13 @@ def refuse_over(what: str, size: int, cap: int | None, unit: str) -> None:
     """
     if cap is not None and size > cap:
         raise ResourceLimit(f"{what}: {unit} {size} exceeds the cap of {cap}")
+
+
+def require_size(name: str, value: int) -> None:
+    """Raise ValueError unless value is a nonnegative int; every public size
+    argument is checked here, so each refusal reads "<name> must be a nonnegative int"."""
+    if not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative int")
 
 
 class Underflow(DyckFramesError, ValueError):

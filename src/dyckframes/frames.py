@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator, Sequence
 
-from .errors import NotAdmissible, NotDyck, NotLifted, Underflow, refuse_over
+from .errors import NotAdmissible, NotDyck, NotLifted, Underflow, refuse_over, require_size
 from .paths import Frozen, Path, _set_values, _trusted
 
 FRAME_ENUMERATION_CAP = 20
@@ -182,7 +182,8 @@ class Frame(Frozen):
         return sum(self.counts) - 1
 
     def foot_count(self, level: int) -> int:
-        return self.counts[level] if 0 <= level <= self.degree else 0
+        require_size("level", level)
+        return self.counts[level] if level <= self.degree else 0
 
     def __str__(self) -> str:
         return ",".join(str(v) for v in self.counts)
@@ -262,8 +263,7 @@ def enumerate_frames(
     for n > 0.  Frames come out in the order of their choices of
     lifting (first) and extension, read from the null frame up.
     """
-    if not isinstance(half_length, int) or half_length < 0:
-        raise ValueError("half_length must be a nonnegative int")
+    require_size("half_length", half_length)
     refuse_over("frame enumeration", half_length, cap, "half-length")
     return _frames(half_length)
 

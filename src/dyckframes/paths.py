@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import MalformedPath, refuse_over
+from .errors import MalformedPath, refuse_over, require_size
 
 DYCK_ENUMERATION_CAP = 16
 MOTZKIN_ENUMERATION_CAP = 14
@@ -145,8 +145,7 @@ def level_sequence(path: Path) -> tuple[int, ...]:
 
 def foot_count(path: Path, level: int) -> int:
     """How many nodes of the path lie at the given level."""
-    if not isinstance(level, int) or level < 0:
-        raise ValueError("level must be a nonnegative int")
+    require_size("level", level)
     return path.levels().count(level)
 
 
@@ -169,8 +168,7 @@ def enumerate_dyck(
     U sorting before D, so the first path is the single big mountain and
     the last is the sawtooth.  Pass cap=None to lift the size guard.
     """
-    if not isinstance(half_length, int) or half_length < 0:
-        raise ValueError("half_length must be a nonnegative int")
+    require_size("half_length", half_length)
     refuse_over("Dyck enumeration", half_length, cap, "half-length")
     return _paths(2 * half_length, frozenset())
 
@@ -186,8 +184,7 @@ def enumerate_motzkin(
     those levels; the empty set forbids them entirely, while None leaves
     them unrestricted.  Order is lexicographic with U < D < H.
     """
-    if not isinstance(length, int) or length < 0:
-        raise ValueError("length must be a nonnegative int")
+    require_size("length", length)
     refuse_over("Motzkin enumeration", length, cap, "length")
     allowed = None if horizontal_levels is None else frozenset(horizontal_levels)
     return _paths(length, allowed)

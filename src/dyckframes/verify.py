@@ -9,7 +9,7 @@ from collections import Counter
 from itertools import chain
 
 from . import counting, frames, paths
-from .errors import refuse_over
+from .errors import refuse_over, require_size
 
 
 class VerifyCheck(paths.Frozen):
@@ -76,8 +76,7 @@ def run_verification(max_n: int, cap: int | None = paths.DYCK_ENUMERATION_CAP) -
     cap raises ResourceLimit before any work; cap=None lifts the guard.
     The Motzkin and frame walks stay under their own caps.
     """
-    if not isinstance(max_n, int) or max_n < 0:
-        raise ValueError("max_n must be a nonnegative int")
+    require_size("max_n", max_n)
     refuse_over("verification", max_n, cap, "max_n")
     checks: list[VerifyCheck] = []
 

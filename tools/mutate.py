@@ -38,6 +38,8 @@ FEET_CLI = "tests/test_cli.py::TestFeetTable"
 ENUMERATE_CLI = "tests/test_cli.py::TestEnumerate"
 HARNESS_CLI = "tests/test_cli.py::TestHarness::test_every_cap_lifts_by_flag_or_environment"
 ADMISSIBILITY = "tests/test_frames.py::TestAdmissibility"
+SIZES = "tests/test_sizes.py::test_bad_size_names_its_argument"
+SIZE_FLAGS = '("n", "k", "max", "level", "max_n")'  # the flags cli.main checks
 # The frame-class walker's two pushes; the last one pushed pops first.
 _PUSH_D = """\
         if level and _can_finish(left, level - 1):
@@ -146,9 +148,16 @@ MUTATIONS = (
     Mutation(
         "enumerate accepts a negative --k",
         "cli.py",
-        "if args.k is not None and args.k < 0:",
-        "if False:",
+        SIZE_FLAGS,
+        '("n", "max", "level", "max_n")',
         (ENUMERATE_CLI,),
+    ),
+    Mutation(
+        "main drops --n from its flags",
+        "cli.py",
+        SIZE_FLAGS,
+        '("k", "max", "level", "max_n")',
+        ("tests/test_sizes.py::test_main_checks_every_size_flag_before_the_handler",),
     ),
     Mutation(
         "enumerate walks for a frame that cannot match",
@@ -366,8 +375,8 @@ MUTATIONS = (
     Mutation(
         "weak_compositions takes a non-int size",
         "counting.py",
-        "if not isinstance(total, int) or total < 0 or not isinstance(parts, int) or parts < 0:",
-        "if total < 0 or parts < 0:",
+        'require_size("total", total)',
+        "if total < 0: raise ValueError(total)",
         ("tests/test_counting.py::TestWeakCompositions",),
     ),
     Mutation(
@@ -429,8 +438,8 @@ MUTATIONS = (
     Mutation(
         "binomial identity takes a non-int m",
         "counting.py",
-        "if not isinstance(m, int) or m < 0:",
-        "if m < 0:",
+        'require_size("m", m)',
+        "if m < 0: raise ValueError(m)",
         ("tests/test_counting.py::TestBinomialIdentity",),
     ),
     Mutation(
@@ -439,6 +448,28 @@ MUTATIONS = (
         "if any(not isinstance(v, int) or v < 0 for v in sizes):",
         "if any(v < 0 for v in sizes):",
         ("tests/test_counting.py::TestBinomialIdentity",),
+    ),
+    Mutation(
+        "require_size loses its isinstance",
+        "errors.py",
+        "if not isinstance(value, int) or value < 0:",
+        "if value < 0:",
+        (SIZES,),
+    ),
+    Mutation(
+        "require_size refuses 0",
+        "errors.py",
+        "or value < 0:",
+        "or value <= 0:",
+        ("tests/test_counting.py::TestCatalan",),
+    ),
+    Mutation(
+        "count_motzkin loses its guard",
+        "counting.py",
+        '''every step."""
+    require_size("n", n)''',
+        'every step."""',
+        (SIZES,),
     ),
 )
 
