@@ -883,6 +883,7 @@ GOLDEN_ARGV = [
     ("enumerate", "motzkin", "--n", "3", "--with-frame"),
     ("verify", "--max-n", "0"),
     ("verify", "--max-n", "3"),
+    ("verify", "--max-n", "8"),
 ]
 GOLDEN_CASES = [
     [*argv, "--format", fmt] for argv in GOLDEN_ARGV for fmt in ("table", "csv", "json")
