@@ -188,9 +188,10 @@ def cmd_count(args: argparse.Namespace) -> int:
             raise ValueError("up/down colors do not apply to kind k-motzkin")
         r = 1
         if args.colors_h is not None:
-            if not frames.ASCII_DIGITS.fullmatch(args.colors_h.strip()):
+            text = args.colors_h.strip()
+            if not (text.isascii() and text.isdigit()):
                 raise ValueError("k-motzkin takes a single horizontal color count")
-            r = int(args.colors_h)
+            r = int(text)
             if r < 1:
                 raise ValueError("horizontal color count must be at least 1")
         doc["k"] = args.k

@@ -14,7 +14,6 @@ admissible frame, and walks the class of paths that have that frame.
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotAdmissible, NotDyck, NotLifted, Underflow, refuse_over, require_size
@@ -22,20 +21,17 @@ from .paths import Frozen, Path, _set_values, _trusted
 
 FRAME_ENUMERATION_CAP = 20
 
-# Entries of frames and color vectors on the command line.  str.isdigit
-# would also accept non-ASCII digits such as '٣' and '²'.
-ASCII_DIGITS = re.compile("[0-9]+")
-
 # A raw sequence is any finite tuple of nonnegative ints, trailing zeros
 # trimmed; admissibility is a property to be decided, not assumed.
 RawSequence = tuple[int, ...]
 
 
 def trim(seq: Iterable[int] | "Frame") -> RawSequence:
-    """A sequence as a tuple with trailing zeros removed.
+    """A sequence as a tuple with trailing int zeros removed.
 
     A tuple whose last entry is not 0 is returned as it is, without a
-    copy or a scan: the deciders trim every sequence they are given.
+    copy or a scan: the deciders trim every sequence they are given.  A
+    zero that is not an int, such as 0.0, stays for them to refuse.
     """
     if type(seq) is tuple and seq and seq[-1] != 0:
         return seq
@@ -47,7 +43,7 @@ def trim(seq: Iterable[int] | "Frame") -> RawSequence:
         except TypeError:
             raise ValueError(f"expected a sequence of counts, got {seq!r}") from None
     end = len(counts)
-    while end and counts[end - 1] == 0:
+    while end and counts[end - 1] == 0 and isinstance(counts[end - 1], int):
         end -= 1
     return counts[:end]
 
@@ -212,7 +208,7 @@ def parse_counts(text: str, noun: str, where: str) -> RawSequence:
     values = []
     for piece in text.split(","):
         piece = piece.strip()
-        if not ASCII_DIGITS.fullmatch(piece):
+        if not (piece.isascii() and piece.isdigit()):
             raise ValueError(f"bad {noun} {piece!r} in {where}")
         values.append(int(piece))
     return tuple(values)

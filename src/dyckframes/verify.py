@@ -83,141 +83,104 @@ def run_verification(max_n: int, cap: int | None = paths.DYCK_ENUMERATION_CAP) -
     def add(name: str, params: str, expected: int, actual: int) -> None:
         checks.append(VerifyCheck(name, params, expected, actual))
 
-    table = counting.feet_table(max_n, max_n)
-    for n in range(max_n + 1):
-        walked = paths.enumerate_dyck(n, cap=None)
-        census = Counter(frames.frame_of(path) for path in walked)
-        formula = list(frames.enumerate_frames(n, cap=None))
+    def differ(name: str, params: str, pairs) -> None:
+        """Two routes to the same values: count the (a, b) pairs that differ."""
+        add(name, params, 0, sum(a != b for a, b in pairs))
 
+    def motzkin_walk(n: int, flat_levels: set[int] | None = None) -> int:
+        return sum(1 for _ in paths.enumerate_motzkin(n, flat_levels, cap=None))
+
+    def foot_cells(n: int, census: Counter[frames.Frame], level: int):
+        """The foot table at (n, level) against the census: a path's feet at
+        a level are its frame's entry there.  Each level is tallied just
+        before the table is read there, so a table too large to build fails
+        before the tally walks every level."""
+        tally: Counter[int] = Counter()
+        for frame, many in census.items():
+            tally[frame.foot_count(level)] += many
+        return ((table.count(n, level, k), tally[k]) for k in range(n + 2))
+
+    table = counting.feet_table(max_n, max_n)
+    to_max = range(max_n + 1)
+    for n in to_max:
+        census = Counter(map(frames.frame_of, paths.enumerate_dyck(n, cap=None)))
+        formula = list(frames.enumerate_frames(n, cap=None))
+        sizes = [counting.frame_cardinality(fr) for fr in formula]
+        at_n = f"n={n}"
         if n > 0:
-            add("frame_count_power", f"n={n}", 2 ** (n - 1), len(formula))
-        add(
-            "frame_set_oracle",
-            f"n={n}",
-            0,
-            len(set(census) ^ set(formula)),
-        )
-        add(
-            "cardinality_oracle",
-            f"n={n}",
-            0,
-            sum(
-                1
-                for fr in formula
-                if counting.frame_cardinality(fr) != census.get(fr, 0)
-            ),
-        )
-        add(
-            "cardinality_sum_catalan",
-            f"n={n}",
-            counting.catalan(n),
-            sum(counting.frame_cardinality(fr) for fr in formula),
-        )
-        # A path's feet at a level are its frame's entry there.
-        mismatched_cells = 0
-        for level in range(max_n + 1):
-            tally: Counter[int] = Counter()
-            for frame, many in census.items():
-                tally[frame.foot_count(level)] += many
-            for feet in range(n + 2):
-                if table.count(n, level, feet) != tally.get(feet, 0):
-                    mismatched_cells += 1
-        add("foot_table_oracle", f"n={n} level<={max_n}", 0, mismatched_cells)
-        add("feet_sum_catalan", f"n={n}", counting.catalan(n), sum(table.row(n, 0)))
-        add(
-            "canonical_roundtrip",
-            f"n={n}",
-            0,
-            sum(
-                1
-                for fr in formula
-                if frames.frame_of(frames.canonical_representative(fr)) != fr
-            ),
-        )
-        add(
-            "consequences_hold",
-            f"n={n}",
-            0,
-            sum(1 for fr in formula if not frames.consequences_hold(fr)),
-        )
+            add("frame_count_power", at_n, 2 ** (n - 1), len(formula))
+        add("frame_set_oracle", at_n, 0, len(set(census) ^ set(formula)))
+        differ("cardinality_oracle", at_n, ((size, census[fr]) for fr, size in zip(formula, sizes)))
+        add("cardinality_sum_catalan", at_n, counting.catalan(n), sum(sizes))
+        cells = (cell for level in to_max for cell in foot_cells(n, census, level))
+        differ("foot_table_oracle", f"n={n} level<={max_n}", cells)
+        add("feet_sum_catalan", at_n, counting.catalan(n), sum(table.row(n, 0)))
+        roundtrips = (frames.frame_of(frames.canonical_representative(fr)) for fr in formula)
+        differ("canonical_roundtrip", at_n, zip(roundtrips, formula))
+        differ("consequences_hold", at_n, ((frames.consequences_hold(fr), True) for fr in formula))
 
     for n in range(min(max_n, 12) + 1):
-        oracle = sum(1 for _ in paths.enumerate_motzkin(n, cap=None))
-        add("motzkin_oracle", f"n={n}", oracle, counting.count_motzkin(n))
+        add("motzkin_oracle", f"n={n}", motzkin_walk(n), counting.count_motzkin(n))
     top_k = min(5, max_n)
     for n in range(min(max_n, 10) + 1):
-        bad = 0
-        for k in range(top_k + 1):
-            oracle = sum(1 for _ in paths.enumerate_motzkin(n, {k}, cap=None))
-            if counting.count_k_motzkin(n, k) != oracle:
-                bad += 1
-        add("k_motzkin_oracle", f"n={n} k<={top_k}", 0, bad)
+        pairs = ((counting.count_k_motzkin(n, k), motzkin_walk(n, {k})) for k in range(top_k + 1))
+        differ("k_motzkin_oracle", f"n={n} k<={top_k}", pairs)
 
+    # One all-ones spec serves both reductions; the Dyck count ignores h.
     ones = (1,) * (max_n + 1)
-    bad_dyck = sum(
-        1
-        for n in range(max_n + 1)
-        if counting.count_colored_dyck(n, counting.ColorSpec(u=ones, d=ones))
-        != counting.catalan(n)
-    )
-    add("colored_dyck_reduction", f"n<={max_n}", 0, bad_dyck)
+    all_ones = counting.ColorSpec(h=ones, u=ones, d=ones)
+    up_to = f"n<={max_n}"
+    pairs = ((counting.count_colored_dyck(n, all_ones), counting.catalan(n)) for n in to_max)
+    differ("colored_dyck_reduction", up_to, pairs)
     # A Motzkin path is a Dyck path of length 2k with n - 2k flats among its steps.
-    bad_motzkin = sum(
-        1
-        for n in range(max_n + 1)
-        if counting.count_colored_motzkin(n, counting.ColorSpec(h=ones, u=ones, d=ones))
-        != sum(counting.binomial(n, 2 * k) * counting.catalan(k) for k in range(n // 2 + 1))
+    pairs = (
+        (
+            counting.count_colored_motzkin(n, all_ones),
+            sum(counting.binomial(n, 2 * k) * counting.catalan(k) for k in range(n // 2 + 1)),
+        )
+        for n in to_max
     )
-    add("colored_motzkin_reduction", f"n<={max_n}", 0, bad_motzkin)
+    differ("colored_motzkin_reduction", up_to, pairs)
 
     # The transfer DP serves the counts; the frame sum and the foot table
     # are the paper's routes to the same numbers.  Colors include zeros.
-    size = max_n + 1
     spec = counting.ColorSpec(
-        h=tuple((k + 2) % 4 for k in range(size)),
-        u=tuple(k % 3 + 1 for k in range(size)),
-        d=tuple((k + 1) % 2 + 1 for k in range(size)),
+        h=tuple((k + 2) % 4 for k in to_max),
+        u=tuple(k % 3 + 1 for k in to_max),
+        d=tuple((k + 1) % 2 + 1 for k in to_max),
     )
-    no_flats = counting.ColorSpec(h=(0,) * size, u=spec.u, d=spec.d)
-    bad_dyck = sum(
-        1
-        for n in range(max_n + 1)
-        if counting.count_colored_dyck(n, spec)
-        != counting.count_by_frames(2 * n, no_flats, cap=None)
+    no_flats = counting.ColorSpec(h=(0,) * (max_n + 1), u=spec.u, d=spec.d)
+    pairs = (
+        (counting.count_colored_dyck(n, spec), counting.count_by_frames(2 * n, no_flats, cap=None))
+        for n in to_max
     )
-    add("colored_dyck_frame_sum", f"n<={max_n}", 0, bad_dyck)
-    bad_motzkin = sum(
-        1
-        for n in range(max_n + 1)
-        if counting.count_colored_motzkin(n, spec)
-        != counting.count_by_frames(n, spec, cap=None)
+    differ("colored_dyck_frame_sum", up_to, pairs)
+    pairs = (
+        (counting.count_colored_motzkin(n, spec), counting.count_by_frames(n, spec, cap=None))
+        for n in to_max
     )
-    add("colored_motzkin_frame_sum", f"n<={max_n}", 0, bad_motzkin)
-    bad_k = sum(
-        1
-        for n in range(max_n + 1)
+    differ("colored_motzkin_frame_sum", up_to, pairs)
+    pairs = (
+        (counting.count_k_motzkin(n, k, 2), counting.count_k_motzkin_by_feet(n, k, 2))
+        for n in to_max
         for k in range(top_k + 1)
-        if counting.count_k_motzkin(n, k, 2) != counting.count_k_motzkin_by_feet(n, k, 2)
     )
-    add("k_motzkin_foot_table", f"n<={max_n} k<={top_k}", 0, bad_k)
+    differ("k_motzkin_foot_table", f"{up_to} k<={top_k}", pairs)
 
     entries = min(max_n, 6)
     entry_sum = min(2 * max_n + 1, 17)
     # Bound per call, not at import, so a decider planted in frames shows.
     trace, closed = frames.is_admissible_trace, frames.is_admissible_closed
-    disagreements = sum(
-        1 for seq in _sequences_up_to(entries, entry_sum) if trace(seq) != closed(seq)
-    )
-    add("decider_agreement", f"len<={entries} sum<={entry_sum}", 0, disagreements)
+    pairs = ((trace(seq), closed(seq)) for seq in _sequences_up_to(entries, entry_sum))
+    differ("decider_agreement", f"len<={entries} sum<={entry_sum}", pairs)
 
     m_top = min(max_n, 6)
     part_sum = min(max_n, 8)
-    failures = sum(
-        1
+    pairs = (
+        (counting.binomial_identity_check(m, parts), True)
         for m in range(m_top + 1)
         for parts in _positive_vectors(part_sum)
-        if not counting.binomial_identity_check(m, parts)
     )
-    add("binomial_identity", f"m<={m_top} parts_sum<={part_sum}", 0, failures)
+    differ("binomial_identity", f"m<={m_top} parts_sum<={part_sum}", pairs)
 
     return VerifyReport(max_n, tuple(checks))

@@ -609,6 +609,55 @@ class TestEnumerate:
         assert "Traceback" not in err
 
 
+# A fault in one route of each verify check, planted through the module
+# that serves it: the module, the attribute, a wrapper of the original, and
+# the checks that fail at --max-n 3, the keyed check among them.
+ROUTE_FAULTS = {
+    # The frames of half-length 3 lose their first, (2, 2, 2, 1).
+    "frame_count_power": (
+        cli.frames, "enumerate_frames",
+        lambda walk: lambda n, cap=None: itertools.islice(walk(n, cap=cap), int(n == 3), None),
+        {"frame_count_power", "frame_set_oracle", "cardinality_sum_catalan"},
+    ),
+    # The census gives UDUDUD, alone in frame (4, 3), the null frame.
+    "frame_set_oracle": (
+        cli.frames, "frame_of",
+        lambda frame_of: lambda p: cli.frames.NULL_FRAME if p.text == "UDUDUD" else frame_of(p),
+        {"frame_set_oracle", "cardinality_oracle", "foot_table_oracle", "canonical_roundtrip"},
+    ),
+    # C_3 reads 6.
+    "cardinality_sum_catalan": (
+        cli.counting, "catalan",
+        lambda catalan: lambda n: catalan(n) + (n == 3),
+        {"cardinality_sum_catalan", "feet_sum_catalan", "colored_dyck_reduction"},
+    ),
+    # The level-0 row of half-length 3 gains a path with no feet.
+    "feet_sum_catalan": (
+        cli.counting.FootTable, "row",
+        lambda row: lambda table, n, level: tuple(
+            v + ((n, level, i) == (3, 0, 0)) for i, v in enumerate(row(table, n, level))
+        ),
+        {"feet_sum_catalan", "foot_table_oracle"},
+    ),
+    # Frame (4, 3) gets UUUDDD, whose frame is (2, 2, 2, 1).
+    "canonical_roundtrip": (
+        cli.frames, "canonical_representative",
+        lambda canonical: lambda fr: (
+            paths_module.Path("UUUDDD") if fr.counts == (4, 3) else canonical(fr)
+        ),
+        {"canonical_roundtrip"},
+    ),
+    # The level-1 walk of length 3 loses its first path.
+    "k_motzkin_oracle": (
+        paths_module, "enumerate_motzkin",
+        lambda walk: lambda n, levels=None, cap=None: itertools.islice(
+            walk(n, levels, cap=cap), int(n == 3 and levels == {1}), None
+        ),
+        {"k_motzkin_oracle"},
+    ),
+}
+
+
 class TestVerify:
     def test_small_run_passes(self, capsys):
         code, out = run(capsys, "verify", "--max-n", "4", "--format", "json")
@@ -653,6 +702,10 @@ class TestVerify:
         [
             ("count_by_frames", {"colored_dyck_frame_sum", "colored_motzkin_frame_sum"}),
             ("count_k_motzkin_by_feet", {"k_motzkin_foot_table"}),
+            ("count_motzkin", {"motzkin_oracle"}),
+            ("count_colored_dyck", {"colored_dyck_reduction", "colored_dyck_frame_sum"}),
+            ("frame_cardinality", {"cardinality_oracle", "cardinality_sum_catalan",
+                                   "colored_dyck_frame_sum", "colored_motzkin_frame_sum"}),
         ],
     )
     def test_route_checks_use_the_second_route(self, capsys, monkeypatch, oracle, checks):
@@ -667,6 +720,7 @@ class TestVerify:
         [
             ("frames", "is_admissible_trace", "decider_agreement"),
             ("counting", "binomial_identity_check", "binomial_identity"),
+            ("frames", "consequences_hold", "consequences_hold"),
         ],
     )
     def test_fact_checks_catch_a_fault(self, capsys, monkeypatch, module, name, check):
@@ -676,6 +730,14 @@ class TestVerify:
         code, out = run(capsys, "verify", "--max-n", "3", "--format", "json")
         assert code == 1
         assert {c["name"] for c in json.loads(out)["checks"] if not c["pass"]} == {check}
+
+    @pytest.mark.parametrize("check", ROUTE_FAULTS)
+    def test_a_fault_in_one_route_fails_its_check(self, capsys, monkeypatch, check):
+        target, name, fault, checks = ROUTE_FAULTS[check]
+        monkeypatch.setattr(target, name, fault(getattr(target, name)))
+        code, out = run(capsys, "verify", "--max-n", "3", "--format", "json")
+        assert code == 1
+        assert {c["name"] for c in json.loads(out)["checks"] if not c["pass"]} == checks
 
     def test_foot_table_fault_fails_the_census_check(self, capsys, monkeypatch):
         original = cli.counting.FootTable.row

@@ -215,6 +215,12 @@ class TestAdmissibility:
             assert not is_admissible_trace(seq), seq
             assert _reduction_ops(seq) is None, seq
 
+    def test_deciders_reject_a_trailing_zero_that_is_not_an_int(self):
+        for seq in ((2, 1, 0.0), (2, 1, Fraction(0)), (2, 1, 0, 0.0), (1, 0.0, 0)):
+            assert not is_admissible_closed(seq), seq
+            assert not is_admissible_trace(seq), seq
+        assert is_admissible_closed((2, 1, 0, 0)) and is_admissible_trace((2, 1, 0, 0))
+
     def test_deciders_reject_entries_that_are_not_numbers(self):
         # Each of these stops a sum of at least one decider with TypeError.
         for seq in ("21", ("2", "1"), (None,), (2, None), ((1,),), (2, (1,)), (3, "2")):
@@ -269,6 +275,13 @@ class TestFrameType:
             for build in (frame_cardinality, canonical_representative, frame_class):
                 with pytest.raises(NotAdmissible):
                     build(counts)
+
+    def test_trailing_zero_that_is_not_an_int_rejected(self):
+        for counts in ((2, 1, 0.0), (2, 1, Fraction(0)), (1, 0.0)):
+            with pytest.raises(NotAdmissible):
+                Frame(counts)
+        assert Frame((2, 1, 0, 0)).counts == (2, 1)
+        assert trim((2, 1, 0.0)) == (2, 1, 0.0) and trim((2, 1, 0, 0)) == (2, 1)
 
     def test_non_iterable_input_is_value_error(self):
         for bad in (5, None, 2.5):

@@ -39,6 +39,7 @@ ENUMERATE_CLI = "tests/test_cli.py::TestEnumerate"
 HARNESS_CLI = "tests/test_cli.py::TestHarness::test_every_cap_lifts_by_flag_or_environment"
 ADMISSIBILITY = "tests/test_frames.py::TestAdmissibility"
 SIZES = "tests/test_sizes.py::test_bad_size_names_its_argument"
+VERIFY = "tests/test_cli.py::TestVerify"
 SIZE_FLAGS = '("n", "k", "max", "level", "max_n")'  # the flags cli.main checks
 # The frame-class walker's two pushes; the last one pushed pops first.
 _PUSH_D = """\
@@ -93,8 +94,8 @@ MUTATIONS = (
         "verify census read one level off",
         "verify.py",
         "tally[frame.foot_count(level)]",
-        "tally[frame.foot_count(level - 1)]",
-        ("tests/test_cli.py::TestVerify",),
+        "tally[frame.foot_count(level + 1)]",
+        (VERIFY,),
     ),
     Mutation(
         "closed decider final test loosened",
@@ -197,8 +198,8 @@ MUTATIONS = (
     Mutation(
         "frame and color entries accept any Unicode digit",
         "frames.py",
-        'ASCII_DIGITS = re.compile("[0-9]+")',
-        'ASCII_DIGITS = re.compile(r"\\d+")',
+        "if not (piece.isascii() and piece.isdigit()):",
+        "if not piece.isdigit():",
         ("tests/test_cli.py::TestCount::test_non_ascii_digits_are_usage_errors",),
     ),
     Mutation(
@@ -311,8 +312,8 @@ MUTATIONS = (
     Mutation(
         "colored Motzkin reduction checks the DP against itself",
         "verify.py",
-        "!= sum(counting.binomial(n, 2 * k) * counting.catalan(k) for k in range(n // 2 + 1))",
-        "!= counting.count_motzkin(n)",
+        "sum(counting.binomial(n, 2 * k) * counting.catalan(k) for k in range(n // 2 + 1)),",
+        "counting.count_motzkin(n),",
         ("tests/test_cli.py::TestVerify::test_colored_reduction_does_not_read_the_dp_twice",),
     ),
     Mutation(
@@ -470,6 +471,84 @@ MUTATIONS = (
     require_size("n", n)''',
         'every step."""',
         (SIZES,),
+    ),
+    Mutation(
+        "trim drops a trailing zero that is not an int",
+        "frames.py",
+        "while end and counts[end - 1] == 0 and isinstance(counts[end - 1], int):",
+        "while end and counts[end - 1] == 0:",
+        (ADMISSIBILITY, "tests/test_frames.py::TestFrameType"),
+    ),
+    # Each verify check made to compare a route with itself.
+    Mutation(
+        "frame count compares the formula with itself",
+        "verify.py",
+        'add("frame_count_power", at_n, 2 ** (n - 1), len(formula))',
+        'add("frame_count_power", at_n, len(formula), len(formula))',
+        (VERIFY,),
+    ),
+    Mutation(
+        "frame set oracle compares the formula with itself",
+        "verify.py",
+        "len(set(census) ^ set(formula))",
+        "len(set(formula) ^ set(formula))",
+        (VERIFY,),
+    ),
+    Mutation(
+        "cardinality oracle compares the formula with itself",
+        "verify.py",
+        "((size, census[fr]) for fr, size",
+        "((size, size) for fr, size",
+        (VERIFY,),
+    ),
+    Mutation(
+        "cardinality sum compares the formula with itself",
+        "verify.py",
+        "counting.catalan(n), sum(sizes))",
+        "sum(sizes), sum(sizes))",
+        (VERIFY,),
+    ),
+    Mutation(
+        "feet sum compares the foot table with itself",
+        "verify.py",
+        "counting.catalan(n), sum(table.row(n, 0)))",
+        "sum(table.row(n, 0)), sum(table.row(n, 0)))",
+        (VERIFY,),
+    ),
+    Mutation(
+        "canonical roundtrip compares the formula with itself",
+        "verify.py",
+        "zip(roundtrips, formula)",
+        "zip(formula, formula)",
+        (VERIFY,),
+    ),
+    Mutation(
+        "consequences check compares the fact with itself",
+        "verify.py",
+        "(frames.consequences_hold(fr), True)",
+        "(frames.consequences_hold(fr), frames.consequences_hold(fr))",
+        (VERIFY,),
+    ),
+    Mutation(
+        "Motzkin oracle compares the DP with itself",
+        "verify.py",
+        "motzkin_walk(n), counting.count_motzkin(n))",
+        "counting.count_motzkin(n), counting.count_motzkin(n))",
+        (VERIFY,),
+    ),
+    Mutation(
+        "k-Motzkin oracle compares the DP with itself",
+        "verify.py",
+        "(counting.count_k_motzkin(n, k), motzkin_walk(n, {k}))",
+        "(counting.count_k_motzkin(n, k), counting.count_k_motzkin(n, k))",
+        (VERIFY,),
+    ),
+    Mutation(
+        "colored Dyck reduction compares the DP with itself",
+        "verify.py",
+        "(counting.count_colored_dyck(n, all_ones), counting.catalan(n))",
+        "(counting.count_colored_dyck(n, all_ones), counting.count_colored_dyck(n, all_ones))",
+        (VERIFY,),
     ),
 )
 
