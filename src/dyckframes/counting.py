@@ -67,9 +67,9 @@ class FootTable:
     steps across gap k, plus the start node at s = 0.  The transfer DP
     with weight x on those gaps gives the foot polynomial at x for every
     half-length in one pass; with x = 2**b > C_max, a row is its base-x
-    digits.  A level is built on first use and cached, and a query past
-    the half-length bound clears the cache and raises the bound, so grow
-    the table from a single thread and share it read-only after.
+    digits.  A level is built on first use and cached; a query past the
+    half-length bound is answered by a table built for it, so the bounds
+    never change.
     """
 
     def __init__(self, max_level: int, max_half_length: int) -> None:
@@ -109,9 +109,7 @@ class FootTable:
         require_size("half_length", half_length)
         require_size("level", level)
         if half_length > self._max_half_length:
-            self._max_half_length = half_length
-            self._levels.clear()
-        self._max_level = max(level, self._max_level)
+            return FootTable(level, half_length).row(half_length, level)
         if level not in self._levels:
             self._levels[level] = self._build(level)
         return self._levels[level][half_length]
@@ -169,7 +167,7 @@ class ColorSpec(Frozen):
         vecs = []
         for name, vec in zip(self.__slots__, (h, u, d)):
             vec = tuple(vec)
-            if any(not isinstance(v, int) or v < 0 for v in vec):
+            if any(type(v) is not int or v < 0 for v in vec):
                 raise ValueError(f"color counts in {name} must be nonnegative ints")
             vecs.append(vec)
         self._freeze(*vecs)
@@ -431,7 +429,7 @@ def binomial_identity_check(m: int, parts: Sequence[int]) -> bool:
     """
     require_size("m", m)
     sizes = tuple(parts)
-    if any(not isinstance(v, int) or v < 0 for v in sizes):
+    if any(type(v) is not int or v < 0 for v in sizes):
         raise ValueError("part sizes must be nonnegative ints")
     direct = binomial(m + sum(sizes) - 1, m)
     columns = [[binomial(amount + size - 1, amount) for amount in range(m + 1)] for size in sizes]

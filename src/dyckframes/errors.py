@@ -29,9 +29,10 @@ def refuse_over(what: str, size: int, cap: int | None, unit: str) -> None:
 
 
 def require_size(name: str, value: int) -> None:
-    """Raise ValueError unless value is a nonnegative int; every public size
-    argument is checked here, so each refusal reads "<name> must be a nonnegative int"."""
-    if not isinstance(value, int) or value < 0:
+    """Raise ValueError unless value is a nonnegative int (a bool is not one);
+    every public size argument is checked here, so each refusal reads
+    "<name> must be a nonnegative int"."""
+    if type(value) is not int or value < 0:
         raise ValueError(f"{name} must be a nonnegative int")
 
 

@@ -31,7 +31,7 @@ def trim(seq: Iterable[int] | "Frame") -> RawSequence:
 
     A tuple whose last entry is not 0 is returned as it is, without a
     copy or a scan: the deciders trim every sequence they are given.  A
-    zero that is not an int, such as 0.0, stays for them to refuse.
+    zero that is not an int, such as 0.0 or False, stays for them to refuse.
     """
     if type(seq) is tuple and seq and seq[-1] != 0:
         return seq
@@ -43,7 +43,7 @@ def trim(seq: Iterable[int] | "Frame") -> RawSequence:
         except TypeError:
             raise ValueError(f"expected a sequence of counts, got {seq!r}") from None
     end = len(counts)
-    while end and counts[end - 1] == 0 and isinstance(counts[end - 1], int):
+    while end and counts[end - 1] == 0 and type(counts[end - 1]) is int:
         end -= 1
     return counts[:end]
 
@@ -145,7 +145,7 @@ def is_admissible_closed(seq: Sequence[int] | "Frame") -> bool:
                 return False
     except TypeError:
         return False
-    return bool(counts) and counts[-1] == ups and all(isinstance(v, int) for v in counts)
+    return bool(counts) and counts[-1] == ups and all(type(v) is int for v in counts)
 
 
 class Frame(Frozen):
@@ -310,32 +310,26 @@ def frame_class(frame: Frame | Sequence[int]) -> Iterator[Path]:
 def _class_paths(ups: RawSequence, length: int) -> Iterator[Path]:
     """A depth-first walk that carries the rises left across each gap: a
     U step from level l spends one across gap l, and a D step none, as
-    every gap below the walk is crossed down once more than up.  A step
-    is taken only if a path can still finish from there (_can_finish),
-    so no branch dead-ends, and each path costs O(n * f) for length 2n
-    and degree f.  D is pushed before U so that U pops first."""
+    every gap below the walk is crossed down once more than up.  U needs
+    a rise left across gap l, and D one across gap l - 1 unless none is
+    left across gap l.  These keep a rise left across every gap from the
+    walk up to the highest one that has any, which is exactly when an
+    Euler trail back to level 0 exists (van Aardenne-Ehrenfest and de
+    Bruijn 1951), so no branch dead-ends and each path costs O(n * f)
+    for length 2n and degree f.  D is pushed before U so that U pops
+    first."""
     stack = [("", 0, ups)]
     while stack:
         prefix, level, left = stack.pop()
         if len(prefix) == length:
             yield _trusted(prefix)
             continue
-        if level and _can_finish(left, level - 1):
+        above = left[level] if level < len(left) else 0
+        if level and (left[level - 1] or not above):
             stack.append((prefix + "D", level - 1, left))
-        if level < len(left) and left[level]:
-            rest = left[:level] + (left[level] - 1,) + left[level + 1 :]
-            if _can_finish(rest, level + 1):
-                stack.append((prefix + "U", level + 1, rest))
-
-
-def _can_finish(left: RawSequence, level: int) -> bool:
-    """Whether a walk at level can end at level 0 rising left[k] more
-    times across each gap k.  The gaps below level are crossed down once
-    more than up and those above as often each way, so an Euler trail
-    from level to 0 (van Aardenne-Ehrenfest and de Bruijn 1951) exists
-    exactly when the gaps left are joined to the walk: every gap from
-    level up to the highest one with a rise left has one."""
-    return 0 not in trim(left[level:])
+        if above:
+            rest = left[:level] + (above - 1,) + left[level + 1 :]
+            stack.append((prefix + "U", level + 1, rest))
 
 
 def _reduction_ops(counts: RawSequence) -> list[int] | None:
@@ -358,7 +352,7 @@ def _reduction_ops(counts: RawSequence) -> list[int] | None:
     for x in counts:
         x -= taken
         if total < 2:
-            if total == 1 and x == 1 and all(isinstance(v, int) and v >= 0 for v in counts):
+            if total == 1 and x == 1 and all(type(v) is int and v >= 0 for v in counts):
                 return ops
             return None
         if x < 2:

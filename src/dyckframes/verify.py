@@ -78,6 +78,8 @@ def run_verification(max_n: int, cap: int | None = paths.DYCK_ENUMERATION_CAP) -
     """
     require_size("max_n", max_n)
     refuse_over("verification", max_n, cap, "max_n")
+    to_max = range(max_n + 1)
+    len(to_max)  # OverflowError before any walk when max_n + 1 fits no index
     checks: list[VerifyCheck] = []
 
     def add(name: str, params: str, expected: int, actual: int) -> None:
@@ -101,7 +103,6 @@ def run_verification(max_n: int, cap: int | None = paths.DYCK_ENUMERATION_CAP) -
         return ((table.count(n, level, k), tally[k]) for k in range(n + 2))
 
     table = counting.feet_table(max_n, max_n)
-    to_max = range(max_n + 1)
     for n in to_max:
         census = Counter(map(frames.frame_of, paths.enumerate_dyck(n, cap=None)))
         formula = list(frames.enumerate_frames(n, cap=None))

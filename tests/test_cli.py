@@ -773,6 +773,16 @@ class TestVerify:
         assert calls == []
         assert run(capsys, "verify", "--max-n", "3", "--allow-large")[0] == 0
 
+    def test_size_past_an_index_is_refused_before_any_walk(self, monkeypatch):
+        calls = []
+        original = paths_module.enumerate_dyck
+        monkeypatch.setattr(
+            paths_module, "enumerate_dyck", lambda *a, **kw: calls.append(a) or original(*a, **kw)
+        )
+        with pytest.raises(OverflowError):
+            verify_module.run_verification(int(HUGE), cap=None)
+        assert calls == []
+
     def test_negative_and_non_int_max_n_rejected(self):
         for max_n in (-1, 2.5, "3"):
             with pytest.raises(ValueError, match="max_n must be a nonnegative int"):
@@ -832,6 +842,23 @@ CLI_CAPS = {
 
 
 class TestHarness:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("count", "dyck", "--n", "3", "--colors-h", "1"),
+             "horizontal colors do not apply to kind dyck"),
+            (("count", "k-motzkin", "--n", "3", "--k", "0", "--colors-h", "0"),
+             "horizontal color count must be at least 1"),
+            (("enumerate", "dyck", "--n", "3", "--k", "1"), "--k only applies to kind motzkin"),
+        ],
+        ids=["count-dyck-colors-h", "k-motzkin-no-colors", "enumerate-dyck-k"],
+    )
+    def test_flags_that_do_not_apply_are_usage_errors(self, capsys, argv, message):
+        assert main(list(argv)) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("name", CLI_CAPS)
     def test_every_cap_lifts_by_flag_or_environment(self, capsys, monkeypatch, name):
         module, attr, cap, argv = CLI_CAPS[name]

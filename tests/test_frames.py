@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import Counter, deque
 from fractions import Fraction
 
@@ -345,40 +346,27 @@ class TestFrameClass:
         assert [p.text for p in frame_class((2,) * 16 + (1,))] == ["U" * 16 + "D" * 16]
         assert [p.text for p in frame_class((17, 16))] == ["UD" * 16]
 
-    def test_no_branch_dead_ends(self, monkeypatch):
-        # Every step taken is a prefix of some path of the class.
-        answers = []
-        original = frames_module._can_finish
-        monkeypatch.setattr(
-            frames_module, "_can_finish", lambda *a: answers.append(original(*a)) or answers[-1]
-        )
+    def test_no_branch_dead_ends(self):
+        # Each state the walker pops is a prefix of some path of the class,
+        # popped once, so its pops number the prefixes, the empty one too.
+        walker = frames_module._class_paths.__code__
+        pops = 0
+
+        def count_pops(frame, event, arg):
+            nonlocal pops
+            if event == "c_call" and frame.f_code is walker and arg.__name__ == "pop":
+                pops += 1
+
         for n in range(9):
             for fr in enumerate_frames(n):
-                answers.clear()
-                texts = [p.text for p in frame_class(fr)]
-                prefixes = {t[:i] for t in texts for i in range(1, len(t) + 1)}
-                assert answers.count(True) == len(prefixes)
-
-    def test_can_finish_exactly_on_prefixes_of_the_class(self):
-        # Every U/D prefix that stays at level 0 or above and overdraws no
-        # gap's rises, not only the states the walker pushes.
-        checked = 0
-        for n in range(8):
-            for fr in enumerate_frames(n):
-                texts = [p.text for p in frame_class(fr)]
+                pops = 0
+                sys.setprofile(count_pops)
+                try:
+                    texts = [p.text for p in frame_class(fr)]
+                finally:
+                    sys.setprofile(None)
                 prefixes = {t[:i] for t in texts for i in range(len(t) + 1)}
-                stack = [("", 0, frames_module.up_steps_per_level(fr))]
-                while stack:
-                    prefix, level, left = stack.pop()
-                    checked += 1
-                    assert frames_module._can_finish(left, level) == (prefix in prefixes), (
-                        fr.counts, prefix)
-                    if level:
-                        stack.append((prefix + "D", level - 1, left))
-                    if level < len(left) and left[level]:
-                        rest = left[:level] + (left[level] - 1,) + left[level + 1 :]
-                        stack.append((prefix + "U", level + 1, rest))
-        assert checked == 9196
+                assert pops == len(prefixes), fr.counts
 
 
 class TestCanonicalRepresentative:

@@ -1,7 +1,7 @@
 """Size arguments: one guard in the library, one check of the CLI flags.
 
 Every public size argument raises ValueError "<name> must be a
-nonnegative int" at the call for a negative, a float or a str; the
+nonnegative int" at the call for a negative, a float, a str or a bool; the
 calls are never iterated, so a lost guard fails rather than hangs.
 """
 
@@ -28,13 +28,18 @@ from dyckframes.counting import (
     k_motzkin_colors,
     weak_compositions,
 )
-from dyckframes.frames import Frame, enumerate_frames
+from dyckframes.frames import (
+    Frame,
+    enumerate_frames,
+    is_admissible_closed,
+    is_admissible_trace,
+)
 from dyckframes.paths import NULL_PATH, enumerate_dyck, enumerate_motzkin, foot_count
 from dyckframes.verify import run_verification
 
 SRC = Path(__file__).parent.parent / "src" / "dyckframes"
 SPEC = ColorSpec((1,) * 5, (1,) * 4, (1,) * 4)
-BAD_SIZES = (-1, 2.5, "3")
+BAD_SIZES = (-1, 2.5, "3", True)
 
 # (call site, argument name, call with the bad value in that argument)
 SIZE_ARGUMENTS = (
@@ -79,6 +84,28 @@ SIZE_ARGUMENTS = (
 def test_bad_size_names_its_argument(name, call, bad):
     with pytest.raises(ValueError, match=f"^{name} must be a nonnegative int$"):
         call(bad)
+
+
+# bool is a subclass of int, so an isinstance check would let these through.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ColorSpec(u=(True,), d=(1,)),
+        lambda: binomial_identity_check(2, (True,)),
+        lambda: Frame((2, True)),
+        lambda: Frame((2, 1, False)),
+    ],
+    ids=["ColorSpec", "binomial_identity_check", "Frame-True", "Frame-trailing-False"],
+)
+def test_bool_is_not_a_count(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("counts", [(True,), (2, True), (2, 1, False)], ids=repr)
+def test_deciders_refuse_bool_entries(counts):
+    assert not is_admissible_closed(counts)
+    assert not is_admissible_trace(counts)
 
 
 @pytest.mark.parametrize("count", [count_k_motzkin, count_k_motzkin_by_feet])

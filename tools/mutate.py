@@ -40,17 +40,17 @@ HARNESS_CLI = "tests/test_cli.py::TestHarness::test_every_cap_lifts_by_flag_or_e
 ADMISSIBILITY = "tests/test_frames.py::TestAdmissibility"
 SIZES = "tests/test_sizes.py::test_bad_size_names_its_argument"
 VERIFY = "tests/test_cli.py::TestVerify"
+NOT_APPLICABLE = "tests/test_cli.py::TestHarness::test_flags_that_do_not_apply_are_usage_errors"
 SIZE_FLAGS = '("n", "k", "max", "level", "max_n")'  # the flags cli.main checks
 # The frame-class walker's two pushes; the last one pushed pops first.
 _PUSH_D = """\
-        if level and _can_finish(left, level - 1):
+        if level and (left[level - 1] or not above):
             stack.append((prefix + "D", level - 1, left))
 """
 _PUSH_U = """\
-        if level < len(left) and left[level]:
-            rest = left[:level] + (left[level] - 1,) + left[level + 1 :]
-            if _can_finish(rest, level + 1):
-                stack.append((prefix + "U", level + 1, rest))
+        if above:
+            rest = left[:level] + (above - 1,) + left[level + 1 :]
+            stack.append((prefix + "U", level + 1, rest))
 """
 _D_THEN_U, _U_THEN_D = _PUSH_D + _PUSH_U, _PUSH_U + _PUSH_D
 
@@ -234,9 +234,16 @@ MUTATIONS = (
     Mutation(
         "frame-class walker lets a level above go unreached",
         "frames.py",
-        "return 0 not in trim(left[level:])",
-        "return 0 not in trim(left[level + 1 :])",
+        "(left[level - 1] or not above)",
+        "left[level - 1]",
         ("tests/test_frames.py::TestFrameClass",),
+    ),
+    Mutation(
+        "frame-class walker descends whenever above level 0",
+        "frames.py",
+        "if level and (left[level - 1] or not above):",
+        "if level:",
+        ("tests/test_frames.py::TestFrameClass::test_no_branch_dead_ends",),
     ),
     Mutation(
         "frame-class walker pushes U before D",
@@ -319,7 +326,7 @@ MUTATIONS = (
     Mutation(
         "color counts accept non-integers",
         "counting.py",
-        "if any(not isinstance(v, int) or v < 0 for v in vec):",
+        "if any(type(v) is not int or v < 0 for v in vec):",
         "if any(v < 0 for v in vec):",
         ("tests/test_counting.py::TestColoredMotzkin",),
     ),
@@ -348,7 +355,7 @@ MUTATIONS = (
     Mutation(
         "public Frame constructor takes non-int entries",
         "frames.py",
-        "counts[-1] == ups and all(isinstance(v, int) for v in counts)",
+        "counts[-1] == ups and all(type(v) is int for v in counts)",
         "counts[-1] == ups",
         ("tests/test_frames.py::TestFrameType",),
     ),
@@ -383,22 +390,22 @@ MUTATIONS = (
     Mutation(
         "closed decider accepts non-int entries",
         "frames.py",
-        "counts[-1] == ups and all(isinstance(v, int) for v in counts)",
+        "counts[-1] == ups and all(type(v) is int for v in counts)",
         "counts[-1] == ups",
         (ADMISSIBILITY,),
     ),
     Mutation(
         "reducer accepts non-int entries",
         "frames.py",
-        "x == 1 and all(isinstance(v, int) and v >= 0 for v in counts):",
+        "x == 1 and all(type(v) is int and v >= 0 for v in counts):",
         "x == 1 and all(v >= 0 for v in counts):",
         (ADMISSIBILITY,),
     ),
     Mutation(
         "reducer accepts negative entries",
         "frames.py",
-        "x == 1 and all(isinstance(v, int) and v >= 0 for v in counts):",
-        "x == 1 and all(isinstance(v, int) for v in counts):",
+        "x == 1 and all(type(v) is int and v >= 0 for v in counts):",
+        "x == 1 and all(type(v) is int for v in counts):",
         (ADMISSIBILITY,),
     ),
     Mutation(
@@ -446,16 +453,61 @@ MUTATIONS = (
     Mutation(
         "binomial identity takes non-int parts",
         "counting.py",
-        "if any(not isinstance(v, int) or v < 0 for v in sizes):",
+        "if any(type(v) is not int or v < 0 for v in sizes):",
         "if any(v < 0 for v in sizes):",
         ("tests/test_counting.py::TestBinomialIdentity",),
     ),
     Mutation(
-        "require_size loses its isinstance",
+        "require_size loses its type check",
         "errors.py",
-        "if not isinstance(value, int) or value < 0:",
+        "if type(value) is not int or value < 0:",
         "if value < 0:",
         (SIZES,),
+    ),
+    Mutation(
+        "require_size takes a bool as a size",
+        "errors.py",
+        "if type(value) is not int or value < 0:",
+        "if not isinstance(value, int) or value < 0:",
+        (SIZES,),
+    ),
+    Mutation(
+        "verify walks before it bounds max_n",
+        "verify.py",
+        "    len(to_max)  # OverflowError before any walk when max_n + 1 fits no index\n",
+        "",
+        (f"{VERIFY}::test_size_past_an_index_is_refused_before_any_walk",),
+    ),
+    Mutation(
+        "foot table grows itself on a larger query",
+        "counting.py",
+        "            return FootTable(level, half_length).row(half_length, level)\n",
+        "            self._max_half_length = half_length\n            self._levels.clear()\n",
+        (f"{FEET}::test_rebuilds_on_larger_query",),
+    ),
+    Mutation(
+        "count dyck takes horizontal colors",
+        "cli.py",
+        '        if args.colors_h is not None:\n'
+        '            raise ValueError("horizontal colors do not apply to kind dyck")\n',
+        "",
+        (NOT_APPLICABLE,),
+    ),
+    Mutation(
+        "k-motzkin takes no horizontal colors",
+        "cli.py",
+        '            if r < 1:\n'
+        '                raise ValueError("horizontal color count must be at least 1")\n',
+        "",
+        (NOT_APPLICABLE,),
+    ),
+    Mutation(
+        "enumerate dyck takes --k",
+        "cli.py",
+        '        if args.k is not None:\n'
+        '            raise ValueError("--k only applies to kind motzkin")\n',
+        "",
+        (NOT_APPLICABLE,),
     ),
     Mutation(
         "require_size refuses 0",
@@ -475,7 +527,7 @@ MUTATIONS = (
     Mutation(
         "trim drops a trailing zero that is not an int",
         "frames.py",
-        "while end and counts[end - 1] == 0 and isinstance(counts[end - 1], int):",
+        "while end and counts[end - 1] == 0 and type(counts[end - 1]) is int:",
         "while end and counts[end - 1] == 0:",
         (ADMISSIBILITY, "tests/test_frames.py::TestFrameType"),
     ),
