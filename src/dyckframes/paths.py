@@ -190,22 +190,52 @@ def enumerate_motzkin(
     return _paths(length, allowed)
 
 
+# Steps at the end of every path that _paths serves from a table.
+_TAIL_STEPS = 8
+
+
+def _tails(steps: int, allowed: frozenset[int] | None) -> dict[int, list[str]]:
+    """For each level 0..steps, every string of steps steps from it back
+    down to level 0, never below it, in U < D < H order.
+
+    Built one step at a time from the strings one step shorter: U, D and
+    H from level l continue the strings from l + 1, l - 1 and l, and a
+    level missing from the shorter table has none.
+    """
+    table = {0: [""]}
+    for _ in range(steps):
+        shorter = table.get
+        table = {}
+        for level in range(steps + 1):
+            ends = ["U" + s for s in shorter(level + 1, ())]
+            ends += ["D" + s for s in shorter(level - 1, ())]
+            if allowed is None or level in allowed:
+                ends += ["H" + s for s in shorter(level, ())]
+            table[level] = ends
+    return table
+
+
 def _paths(length: int, allowed: frozenset[int] | None) -> Iterator[Path]:
     """Every path of the given length in U < D < H order.
 
     Flat steps may sit only at allowed levels, or anywhere when allowed
-    is None.  A depth-first walk over a stack of (prefix, level) pairs, so deep
-    paths need no recursion (Knuth, TAOCP 4A, 7.2.1.6).  A step is taken
-    only if level 0 stays reachable in the steps left, so every prefix
-    of full length is a path; H, D, U are pushed in that order so that U
-    pops first.
+    is None.  The first length - T steps, T = min(length, _TAIL_STEPS),
+    are a depth-first walk over a stack of (prefix, level) pairs, so
+    deep paths need no recursion (Knuth, TAOCP 4A, 7.2.1.6).  A step is
+    taken only if level 0 stays reachable in the steps left, so a prefix
+    of length - T steps ends at a level of at most T; H, D, U are pushed
+    in that order so that U pops first.  Each such prefix is finished
+    with every string of T steps from its level in the table _tails
+    builds once per call, so paths stream out one prefix at a time.
     """
+    tail = min(length, _TAIL_STEPS)
+    tails = _tails(tail, allowed)
     stack = [("", 0)]
     while stack:
         prefix, level = stack.pop()
         remaining = length - len(prefix)
-        if not remaining:
-            yield _trusted(prefix)
+        if remaining == tail:
+            yield from map(_trusted, [prefix + s for s in tails[level]])
             continue
         if remaining > level and (allowed is None or level in allowed):
             stack.append((prefix + "H", level))

@@ -39,7 +39,9 @@ from dyckframes import (
     weak_compositions,
 )
 from dyckframes.counting import (
+    _SPREAD_BATCH,
     FootTable,
+    _spread,
     _transfer_count,
     _transfer_walk,
     count_by_frames,
@@ -606,6 +608,49 @@ class TestBinomialIdentity:
         # over no bins, so both sides are 0.
         for m in range(4):
             assert binomial_identity_check(m, ()) is True
+
+    @staticmethod
+    def product_sum(m, columns):
+        """The sum over every tuple of amounts that adds up to m, by filtering
+        itertools.product, of the product of one entry per column."""
+        return sum(
+            math.prod(column[a] for column, a in zip(columns, amounts))
+            for amounts in itertools.product(range(m + 1), repeat=len(columns))
+            if sum(amounts) == m
+        )
+
+    @pytest.mark.parametrize(
+        "m, sizes",
+        [(0, ()), (2, ()), (0, (3,)), (0, (2, 0, 5)), (4, (0,)), (3, (0, 0)),
+         (3, (2, 0, 1)), (5, (1, 3)), (6, (1, 2, 0, 3, 1))],
+    )
+    def test_spread_is_the_product_sum(self, m, sizes):
+        # Columns unlike binomials, distinct per bin, so a wrong entry shows.
+        columns = [[(i + 2) ** a + i * a for a in range(m + 1)] for i in range(len(sizes))]
+        assert _spread(m, columns) == self.product_sum(m, columns)
+        binomials = [[binomial(a + size - 1, a) for a in range(m + 1)] for size in sizes]
+        assert _spread(m, binomials) == self.product_sum(m, binomials)
+        assert binomial_identity_check(m, sizes) is True
+
+    def test_spread_over_more_than_one_batch(self):
+        m, bins = 6, 5
+        assert math.comb(m + bins - 1, bins - 1) > 2 * _SPREAD_BATCH
+        columns = [[3 * i + a * (a + i + 1) + 1 for a in range(m + 1)] for i in range(bins)]
+        assert _spread(m, columns) == self.product_sum(m, columns)
+        assert binomial_identity_check(m, (2, 1, 3, 1, 2)) is True
+
+    def test_memory_does_not_grow_with_the_compositions(self):
+        # 125,970 weak compositions of 12 into 9 parts; listing them as
+        # tuples takes about 15 MB.
+        m, sizes = 12, (1,) * 9
+        assert math.comb(m + len(sizes) - 1, m) >= 100_000
+        tracemalloc.start()
+        try:
+            assert binomial_identity_check(m, sizes) is True
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_non_int_arguments_rejected(self):
         # The rule ColorSpec applies: a float reached math.comb as TypeError.

@@ -8,6 +8,7 @@ the step alphabet.
 from __future__ import annotations
 
 import math
+from functools import cache
 from itertools import product
 
 import pytest
@@ -27,6 +28,9 @@ from dyckframes import (
 )
 from dyckframes import paths as paths_module
 from dyckframes.cli import main
+from dyckframes.counting import count_k_motzkin
+
+TAIL = paths_module._TAIL_STEPS
 
 
 def catalan_closed(n: int) -> int:
@@ -50,24 +54,25 @@ def brute_force_dyck(n: int) -> set[str]:
     }
 
 
+@cache
+def valid_texts(n: int) -> tuple[str, ...]:
+    """Every path text of length n, in U < D < H order: the order in which
+    itertools.product yields the strings over "UDH"."""
+    texts = map("".join, product("UDH", repeat=n))
+    return tuple(text for text in texts if is_valid_path_text(text))
+
+
+def flats_only_at(text: str, levels) -> bool:
+    height = 0
+    for ch in text:
+        if ch == "H" and levels is not None and height not in levels:
+            return False
+        height += 1 if ch == "U" else -1 if ch == "D" else 0
+    return True
+
+
 def brute_force_motzkin(n: int, levels: set[int] | None) -> set[str]:
-    found = set()
-    for chars in product("UDH", repeat=n):
-        text = "".join(chars)
-        if not is_valid_path_text(text):
-            continue
-        if levels is not None:
-            height = 0
-            ok = True
-            for ch in text:
-                if ch == "H" and height not in levels:
-                    ok = False
-                    break
-                height += 1 if ch == "U" else -1 if ch == "D" else 0
-            if not ok:
-                continue
-        found.add(text)
-    return found
+    return {text for text in valid_texts(n) if flats_only_at(text, levels)}
 
 
 class TestParse:
@@ -234,6 +239,18 @@ class TestEnumerateMotzkin:
                 assert texts == sorted(expected, key=lambda t: [key[c] for c in t])
 
 
+class TestWalker:
+    """_paths walks the head of each path and finishes it from a table of
+    the last TAIL steps, so lengths up to TAIL are the table alone and
+    longer ones a head plus the table."""
+
+    @pytest.mark.parametrize("levels", [None, (), {0}, {1}, {0, 2}])
+    def test_matches_the_filtered_strings_in_order(self, levels):
+        allowed = None if levels is None else frozenset(levels)
+        for n in range(TAIL + 4):
+            expected = [text for text in valid_texts(n) if flats_only_at(text, levels)]
+            assert [p.text for p in paths_module._paths(n, allowed)] == expected, n
+
 def test_enumerated_paths_round_trip():
     for n in range(6):
         for path in enumerate_dyck(n):
@@ -264,6 +281,17 @@ class TestTrustedConstruction:
         for n in range(11):
             for path in enumerate_motzkin(n, levels):
                 assert Path(path.text) == path
+
+    @pytest.mark.parametrize("n, level", [(2 * TAIL + 1, 0), (2 * TAIL + 2, TAIL + 1)])
+    def test_long_walks_with_restricted_flats_validate(self, n, level):
+        # A head longer than the tail can end higher than the table reaches
+        # when a guard lets level 0 go out of reach; Dyck paths cannot, by
+        # parity, so the flats are what find it.
+        walked = 0
+        for path in enumerate_motzkin(n, {level}, cap=None):
+            assert Path(path.text) == path
+            walked += 1
+        assert walked == count_k_motzkin(n, level)
 
     def test_enumerate_walks_no_path_twice(self, capsys, monkeypatch):
         calls = []

@@ -40,6 +40,7 @@ HARNESS_CLI = "tests/test_cli.py::TestHarness::test_every_cap_lifts_by_flag_or_e
 ADMISSIBILITY = "tests/test_frames.py::TestAdmissibility"
 SIZES = "tests/test_sizes.py::test_bad_size_names_its_argument"
 VERIFY = "tests/test_cli.py::TestVerify"
+WALKER = "tests/test_paths.py::TestWalker"
 NOT_APPLICABLE = "tests/test_cli.py::TestHarness::test_flags_that_do_not_apply_are_usage_errors"
 SIZE_FLAGS = '("n", "k", "max", "level", "max_n")'  # the flags cli.main checks
 # The frame-class walker's two pushes; the last one pushed pops first.
@@ -288,6 +289,34 @@ MUTATIONS = (
         ("tests/test_paths.py::TestTrustedConstruction",),
     ),
     Mutation(
+        "path walker steps flat where level 0 is out of reach",
+        "paths.py",
+        "if remaining > level and",
+        "if remaining >= level and",
+        ("tests/test_paths.py::TestTrustedConstruction",),
+    ),
+    Mutation(
+        "path tail table rises into its own level",
+        "paths.py",
+        '["U" + s for s in shorter(level + 1, ())]',
+        '["U" + s for s in shorter(level, ())]',
+        (WALKER,),
+    ),
+    Mutation(
+        "path tail table falls into its own level",
+        "paths.py",
+        '["D" + s for s in shorter(level - 1, ())]',
+        '["D" + s for s in shorter(level, ())]',
+        (WALKER,),
+    ),
+    Mutation(
+        "path tail table steps flat one level off",
+        "paths.py",
+        "if allowed is None or level in allowed:",
+        "if allowed is None or level + 1 in allowed:",
+        (WALKER,),
+    ),
+    Mutation(
         "frame_of counts a newly reached level from 0",
         "frames.py",
         "counts.append(1)",
@@ -362,9 +391,31 @@ MUTATIONS = (
     Mutation(
         "binomial identity composes items into no bins",
         "counting.py",
-        "weak_compositions(m, len(sizes)) if sizes or not m else ()",
-        "weak_compositions(m, len(sizes))",
+        "return int(m == 0)",
+        "return 1",
         ("tests/test_counting.py::TestBinomialIdentity",),
+    ),
+    Mutation(
+        "composition tree's last bin reads one item short",
+        "counting.py",
+        "product * last[left]",
+        "product * last[left - 1]",
+        ("tests/test_counting.py::TestBinomialIdentity",),
+    ),
+    Mutation(
+        "composition tree's batch split drops a node per batch",
+        "counting.py",
+        "grown[start : start + _SPREAD_BATCH]",
+        "grown[start : start + _SPREAD_BATCH - 1]",
+        ("tests/test_counting.py::TestBinomialIdentity::test_spread_over_more_than_one_batch",),
+    ),
+    Mutation(
+        "composition tree pushes a whole level as one batch",
+        "counting.py",
+        """for start in range(0, len(grown), _SPREAD_BATCH):
+            stack.append((depth + 1, grown[start : start + _SPREAD_BATCH]))""",
+        "stack.append((depth + 1, grown))",
+        ("tests/test_counting.py::TestBinomialIdentity::test_memory_does_not_grow_with_the_compositions",),
     ),
     Mutation(
         "binomial identity column stops short of m",
