@@ -6,7 +6,9 @@ document, deterministically.
 Exit codes: 0 success, 1 verification failure (a failed verify check,
 or an enumerate whose paths do not number its closed-form count), 2
 usage or parse error, 3 work over a size cap, refused before it starts,
-or a size too large to represent under --allow-large.
+or a size too large to represent under --allow-large.  A command whose
+stdout closes before its output ends (as under `| head`) exits 1 too,
+as Python does on a broken pipe, and prints nothing more.
 """
 
 from __future__ import annotations
@@ -400,6 +402,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DyckFramesError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does.  Point stdout
+        # at devnull so the flush at exit stays quiet, and exit 1, as
+        # Python does on EPIPE, printing nothing.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError):
+            pass  # stdout has no descriptor, so the exit flushes nothing there
+        else:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 1
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)

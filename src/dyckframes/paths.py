@@ -194,42 +194,41 @@ def enumerate_motzkin(
 _TAIL_STEPS = 8
 
 
-def _tails(steps: int, allowed: frozenset[int] | None) -> dict[int, list[str]]:
-    """For each level 0..steps, every string of steps steps from it back
-    down to level 0, never below it, in U < D < H order.
-
-    Built one step at a time from the strings one step shorter: U, D and
-    H from level l continue the strings from l + 1, l - 1 and l, and a
-    level missing from the shorter table has none.
-    """
-    table = {0: [""]}
-    for _ in range(steps):
-        shorter = table.get
-        table = {}
-        for level in range(steps + 1):
-            ends = ["U" + s for s in shorter(level + 1, ())]
-            ends += ["D" + s for s in shorter(level - 1, ())]
-            if allowed is None or level in allowed:
-                ends += ["H" + s for s in shorter(level, ())]
-            table[level] = ends
-    return table
-
-
 def _paths(length: int, allowed: frozenset[int] | None) -> Iterator[Path]:
     """Every path of the given length in U < D < H order.
 
     Flat steps may sit only at allowed levels, or anywhere when allowed
-    is None.  The first length - T steps, T = min(length, _TAIL_STEPS),
-    are a depth-first walk over a stack of (prefix, level) pairs, so
-    deep paths need no recursion (Knuth, TAOCP 4A, 7.2.1.6).  A step is
-    taken only if level 0 stays reachable in the steps left, so a prefix
-    of length - T steps ends at a level of at most T; H, D, U are pushed
-    in that order so that U pops first.  Each such prefix is finished
-    with every string of T steps from its level in the table _tails
-    builds once per call, so paths stream out one prefix at a time.
+    is None.  moves[level], built once per call from _RISE, lists each
+    (step, next level) open at a level, in U, D, H order: none goes
+    below level 0, and H only from an allowed level.  Both parts of the
+    walk read it.  The last T = min(length, _TAIL_STEPS) steps come from
+    a table of every string of T steps from each level back to level 0,
+    built one step at a time: a level's moves, each followed by every
+    string one step shorter from the move's next level.  The first
+    length - T steps are a depth-first walk over a stack of (prefix,
+    level) pairs, so deep paths need no recursion (Knuth, TAOCP 4A,
+    7.2.1.6).  A move is taken only if its next level is below the steps
+    left, so level 0 stays in reach and a prefix of length - T steps
+    ends at a level of at most T; moves are pushed in reverse so that U
+    pops first.  Each such prefix is finished with its level's strings
+    of the table, so paths stream out one prefix at a time.
     """
     tail = min(length, _TAIL_STEPS)
-    tails = _tails(tail, allowed)
+    moves = [
+        [
+            (step, level + rise)
+            for step, rise in _RISE.items()
+            if level + rise >= 0 and (rise or allowed is None or level in allowed)
+        ]
+        for level in range(length + 1)
+    ]
+    tails = {0: [""]}
+    for _ in range(tail):
+        shorter = tails.get
+        tails = {
+            level: [step + s for step, nxt in moves[level] for s in shorter(nxt, ())]
+            for level in range(tail + 1)
+        }
     stack = [("", 0)]
     while stack:
         prefix, level = stack.pop()
@@ -237,9 +236,4 @@ def _paths(length: int, allowed: frozenset[int] | None) -> Iterator[Path]:
         if remaining == tail:
             yield from map(_trusted, [prefix + s for s in tails[level]])
             continue
-        if remaining > level and (allowed is None or level in allowed):
-            stack.append((prefix + "H", level))
-        if level:
-            stack.append((prefix + "D", level - 1))
-        if remaining >= level + 2:
-            stack.append((prefix + "U", level + 1))
+        stack += [(prefix + step, nxt) for step, nxt in reversed(moves[level]) if nxt < remaining]

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -842,6 +843,48 @@ CLI_CAPS = {
 
 
 class TestHarness:
+    @pytest.mark.parametrize(
+        "argv, first",
+        [
+            (("enumerate", "motzkin", "--n", "12"), b"UUUUUUDDDDDD\n"),
+            (("feet-table", "--max", "60"), b"steps "),
+        ],
+        ids=["enumerate", "feet-table"],
+    )
+    def test_closed_stdout_exits_1_without_a_traceback(self, argv, first):
+        # Both outputs are longer than a pipe buffer, so the writer is still
+        # writing when the reader closes its end.
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        command = [sys.executable, "-m", "dyckframes", *argv]
+        with subprocess.Popen(
+            command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        ) as proc:
+            line = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert line.startswith(first)
+        assert (code, err) == (1, b"")
+
+    def test_closed_pipe_on_stdout_is_pointed_at_devnull(self, capsys, monkeypatch):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as pipe:  # closing it flushes into devnull
+            monkeypatch.setattr(sys, "stdout", pipe)
+            assert main(["enumerate", "motzkin", "--n", "12"]) == 1
+            monkeypatch.undo()
+        assert capsys.readouterr().err == ""
+
+    def test_closed_stdout_without_a_descriptor_exits_1(self, capsys, monkeypatch):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert main(["frame", "3,4,3,1"]) == 1
+        monkeypatch.undo()
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize(
         "argv, message",
         [

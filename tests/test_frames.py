@@ -142,6 +142,8 @@ class TestOperators:
         assert extend_frame((2, 1)) == (3, 2)
         assert extend_frame((1,)) == (2, 1)
         assert extend_frame((3, 3, 1)) == (4, 4, 1)
+        with pytest.raises(ValueError, match="nonempty"):
+            extend_frame(())
 
     def test_unextend(self):
         assert unextend((3, 4, 3, 1)) == (2, 3, 3, 1)
@@ -435,6 +437,9 @@ class TestProgenitors:
         assert right_progenitor((4, 3)) == (2, 1)
         with pytest.raises(ValueError):
             right_progenitor((1,))
+        # (5, 1) must shed 3 from its first entry; the second has only 1.
+        with pytest.raises(Underflow, match="cannot absorb 3"):
+            right_progenitor((5, 1))
 
     def test_progenitors_of_admissible_frames_are_admissible(self):
         for n in range(1, 9):

@@ -8,7 +8,9 @@ pytest -x against that copy.  The same tests first run on the unmutated
 copy, so a mutation only counts as caught by a real failure.  The exit
 code is 0 when every mutation is caught, 1 when one survives (a missing
 test) and 2 when the unmutated copy fails or a mutation's text no longer
-occurs exactly once (the list is stale).  Standard library and pytest
+occurs exactly once (the list is stale).  The mutations in EQUIVALENT
+change no result, so they are printed with their proof and not run;
+their text too must occur exactly once.  Standard library and pytest
 only; not part of the tier-1 suite.
 """
 
@@ -282,38 +284,38 @@ MUTATIONS = (
         ("tests/test_cli.py::TestEnumerate::test_frame_walks_only_its_class",),
     ),
     Mutation(
-        "path walker rises where level 0 is out of reach",
+        "path walker steps below level 0",
         "paths.py",
-        "if remaining >= level + 2:",
-        "if remaining >= level + 1:",
-        ("tests/test_paths.py::TestTrustedConstruction",),
-    ),
-    Mutation(
-        "path walker steps flat where level 0 is out of reach",
-        "paths.py",
-        "if remaining > level and",
-        "if remaining >= level and",
-        ("tests/test_paths.py::TestTrustedConstruction",),
-    ),
-    Mutation(
-        "path tail table rises into its own level",
-        "paths.py",
-        '["U" + s for s in shorter(level + 1, ())]',
-        '["U" + s for s in shorter(level, ())]',
+        "if level + rise >= 0 and",
+        "if level + rise >= -1 and",
         (WALKER,),
     ),
     Mutation(
-        "path tail table falls into its own level",
+        "path walker steps flat one level off",
         "paths.py",
-        '["D" + s for s in shorter(level - 1, ())]',
-        '["D" + s for s in shorter(level, ())]',
+        "(rise or allowed is None or level in allowed)",
+        "(rise or allowed is None or level + 1 in allowed)",
         (WALKER,),
     ),
     Mutation(
-        "path tail table steps flat one level off",
+        "path walker holds every step to the flat levels",
         "paths.py",
-        "if allowed is None or level in allowed:",
-        "if allowed is None or level + 1 in allowed:",
+        "(rise or allowed is None or level in allowed)",
+        "(allowed is None or level in allowed)",
+        (WALKER,),
+    ),
+    Mutation(
+        "path walker steps where level 0 is out of reach",
+        "paths.py",
+        "if nxt < remaining]",
+        "if nxt <= remaining]",
+        ("tests/test_paths.py::TestTrustedConstruction",),
+    ),
+    Mutation(
+        "path tail table continues from the step's own level",
+        "paths.py",
+        "for s in shorter(nxt, ())]",
+        "for s in shorter(level, ())]",
         (WALKER,),
     ),
     Mutation(
@@ -633,6 +635,27 @@ MUTATIONS = (
         (VERIFY,),
     ),
     Mutation(
+        "consequences floor interior entries at 3",
+        "frames.py",
+        "if not 2 <= counts[j] <=",
+        "if not 3 <= counts[j] <=",
+        ("tests/test_frames.py::TestConsequences",),
+    ),
+    Mutation(
+        "consequences lower the interior ceiling by one",
+        "frames.py",
+        "counts[j - 1] + counts[j + 1] - 2:",
+        "counts[j - 1] + counts[j + 1] - 3:",
+        ("tests/test_frames.py::TestConsequences",),
+    ),
+    Mutation(
+        "consequences tie the gap of one to degree 2",
+        "frames.py",
+        "!= (f == 1):",
+        "!= (f == 2):",
+        ("tests/test_frames.py::TestConsequences",),
+    ),
+    Mutation(
         "Motzkin oracle compares the DP with itself",
         "verify.py",
         "motzkin_walk(n), counting.count_motzkin(n))",
@@ -652,6 +675,22 @@ MUTATIONS = (
         "(counting.count_colored_dyck(n, all_ones), counting.catalan(n))",
         "(counting.count_colored_dyck(n, all_ones), counting.count_colored_dyck(n, all_ones))",
         (VERIFY,),
+    ),
+)
+
+# Mutations that change no result, so no test can catch them; each is
+# kept here with its proof, and its text must still occur exactly once.
+EQUIVALENT = (
+    (
+        Mutation(
+            "consequences let the top entry tie the one below it",
+            "frames.py",
+            "if not counts[f - 1] > counts[f]:",
+            "if not counts[f - 1] >= counts[f]:",
+            (),
+        ),
+        "with v(k) the up steps from level k and v(-1) = 1 for the start, "
+        "c(f-1) = v(f-2) + v(f-1) > v(f-1) = c(f) on every admissible frame",
     ),
 )
 
@@ -679,6 +718,12 @@ def main() -> int:
         if not _pytest(workdir, baseline):
             print("the unmutated copy fails its tests", file=sys.stderr)
             return 2
+        for mutation, proof in EQUIVALENT:
+            text = (ROOT / "src" / "dyckframes" / mutation.module).read_text()
+            if text.count(mutation.old) != 1:
+                print(f"stale: {mutation.name}: text not found exactly once", file=sys.stderr)
+                return 2
+            print(f"equivalent  {mutation.name}: {proof}")
         survivors = []
         for mutation in MUTATIONS:
             _fresh_src(workdir)
@@ -692,7 +737,10 @@ def main() -> int:
             print(f"{'caught  ' if caught else 'SURVIVED'}  {mutation.name}")
             if not caught:
                 survivors.append(mutation.name)
-    print(f"{len(MUTATIONS) - len(survivors)}/{len(MUTATIONS)} mutations caught")
+    print(
+        f"{len(MUTATIONS) - len(survivors)}/{len(MUTATIONS)} mutations caught, "
+        f"{len(EQUIVALENT)} equivalent not run"
+    )
     return 1 if survivors else 0
 
 

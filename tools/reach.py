@@ -1,0 +1,146 @@
+"""Reach report: every statement of the package that the tests never run.
+
+    python tools/reach.py [extra pytest args]
+
+Runs pytest in this process under sys.settrace, recording the lines run
+in src/dyckframes only, then prints each statement of the package that
+no line event reached.  A statement that compiles to no bytecode (a bare
+annotation, a docstring, global) is skipped, since it can raise no
+event.  Each statement in REASONS is printed with the reason it stays
+unreached; the exit code is 0 when every unreached statement has one
+and 1 when one does not, or when a reason names a line whose text has
+changed or that the tests now reach (the list is stale).  Code that
+runs only in a subprocess is never traced.
+
+By default the three stream tests and acceptance criterion 4 are
+deselected: under tracing they take minutes and reach nothing new.
+Tracing slows the package several times over, so a timing bound such
+as the one in
+tests/test_counting.py::TestFrameSum::test_matches_transfer_dp_up_to_n_24
+can fail; the statements are reported anyway, with pytest's exit code.
+The whole run takes about two minutes on a 2-vCPU host.  Standard
+library and pytest only; not part of the tier-1 suite.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "dyckframes"
+
+DESELECT = (
+    "tests/test_cli.py::TestEnumerate::test_csv_rows_stream",
+    "tests/test_cli.py::TestEnumerate::test_json_rows_stream",
+    "tests/test_acceptance.py::test_criterion_4_decider_agreement_sweep",
+)
+
+_SUBPROCESS = "the module runs only under python -m, which the tests start as subprocesses"
+# (file, line): (the line's text, stripped; why no test reaches it).
+REASONS = {
+    ("__main__.py", 1): ("from .cli import main", _SUBPROCESS),
+    ("__main__.py", 3): ("raise SystemExit(main())", _SUBPROCESS),
+    ("cli.py", 422): (
+        "sys.exit(main())",
+        "runs only when cli.py is the main script, never in the tests' process",
+    ),
+    ("frames.py", 377): (
+        'raise NotAdmissible(f"not reducible to the null frame: {frame.counts!r}")',
+        "a guard: every validated Frame reduces to (1,)",
+    ),
+    ("frames.py", 396): ("return False", "only a false theorem reaches it"),
+    ("frames.py", 398): ("return False", "only a false theorem reaches it"),
+    ("frames.py", 401): ("return False", "only a false theorem reaches it"),
+}
+
+
+def _code_lines(code) -> set[int]:
+    """Every line that code or a code object nested in it has bytecode on."""
+    lines = {line for _, _, line in code.co_lines() if line is not None}
+    for const in code.co_consts:
+        if hasattr(const, "co_lines"):
+            lines |= _code_lines(const)
+    return lines
+
+
+def _statements(source: str, filename: str) -> list[tuple[int, range]]:
+    """(first line, lines) of each statement that compiles to bytecode.
+
+    A compound statement's lines are its header only, up to its body, so
+    that a run of the body does not count as a run of the header.
+    """
+    bytecode = _code_lines(compile(source, filename, "exec"))
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if not isinstance(node, ast.stmt):
+            continue
+        first = min([node.lineno, *(d.lineno for d in getattr(node, "decorator_list", ()))])
+        body = getattr(node, "body", None)
+        last = body[0].lineno - 1 if body else node.end_lineno
+        lines = range(first, max(first, last) + 1)
+        if bytecode.intersection(lines):
+            found.append((node.lineno, lines))
+    return sorted(found, key=lambda item: item[0])
+
+
+def _trace(args: list[str]) -> tuple[int, dict[str, set[int]]]:
+    """Run pytest with args; return its exit code and the lines run per file."""
+    prefix = str(PACKAGE) + os.sep
+    seen: dict[str, set[int]] = {}
+
+    def local(frame, event, arg):
+        if event == "line":
+            seen.setdefault(frame.f_code.co_filename, set()).add(frame.f_lineno)
+        return local
+
+    def calls(frame, event, arg):
+        if frame.f_code.co_filename.startswith(prefix):
+            return local
+        return None
+
+    sys.settrace(calls)
+    try:
+        code = pytest.main(args)
+    finally:
+        sys.settrace(None)
+    return int(code), seen
+
+
+def main(argv: list[str]) -> int:
+    os.chdir(ROOT)
+    sys.path.insert(0, str(ROOT / "src"))
+    args = ["-q", "-p", "no:cacheprovider", "tests"]
+    args += [f"--deselect={test}" for test in DESELECT] + argv
+    code, seen = _trace(args)
+    unexplained = stale = 0
+    explained = set(REASONS)
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        text = source.splitlines()
+        ran = seen.get(str(path), set())
+        for lineno, lines in _statements(source, str(path)):
+            key = (path.name, lineno)
+            explained.discard(key)
+            reached = not ran.isdisjoint(lines)
+            expected, reason = REASONS.get(key, (None, None))
+            if reason is not None and (reached or text[lineno - 1].strip() != expected):
+                print(f"stale reason  {path.name}:{lineno}: {reason}")
+                stale += 1
+            elif not reached:
+                unexplained += reason is None
+                print(f"{path.name}:{lineno}  {text[lineno - 1].strip()}")
+                print(f"    {reason or 'NO REASON'}")
+    for name, lineno in sorted(explained):  # a reason for no statement at all
+        print(f"stale reason  {name}:{lineno}: {REASONS[name, lineno][1]}")
+        stale += 1
+    print(f"pytest exited {code}; {unexplained} unreached without a reason, {stale} stale")
+    return 1 if unexplained or stale else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
