@@ -190,10 +190,10 @@ def cmd_count(args: argparse.Namespace) -> int:
             raise ValueError("up/down colors do not apply to kind k-motzkin")
         r = 1
         if args.colors_h is not None:
-            text = args.colors_h.strip()
-            if not (text.isascii() and text.isdigit()):
-                raise ValueError("k-motzkin takes a single horizontal color count")
-            r = int(text)
+            try:
+                r = frames.parse_count(args.colors_h, "color count", "--colors-h")
+            except ValueError:
+                raise ValueError("k-motzkin takes a single horizontal color count") from None
             if r < 1:
                 raise ValueError("horizontal color count must be at least 1")
         doc["k"] = args.k
@@ -289,29 +289,21 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     report = run_verification(args.max_n, _cap(args, paths.DYCK_ENUMERATION_CAP))
+    rows = [
+        [check.name, check.params, check.expected, check.actual, int(check.passed)]
+        for check in report.checks
+    ]
+    keys = ("name", "params", "expected", "actual", "pass")
     doc = {
         "command": "verify",
         "max_n": report.max_n,
-        "checks": [
-            {
-                "name": check.name,
-                "params": check.params,
-                "expected": check.expected,
-                "actual": check.actual,
-                "pass": check.passed,
-            }
-            for check in report.checks
-        ],
+        "checks": [{**dict(zip(keys, row)), "pass": row[4] == 1} for row in rows],
         "summary": {
             "total": report.total,
             "passed": report.passed,
             "failed": report.failed,
         },
     }
-    rows = [
-        [check.name, check.params, check.expected, check.actual, 1 if check.passed else 0]
-        for check in report.checks
-    ]
     grid = [["check", "params", "expected", "actual", "status"]]
     grid += [[*row[:4], "ok" if row[4] else "FAIL"] for row in rows]
     table = _align(grid) + [f"passed {report.passed}/{report.total}"]
@@ -339,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("feet-table", parents=[common], help="foot-count table rows")
-    p.add_argument("--max", type=int, required=True, help="largest half-length")
-    p.add_argument("--level", type=int, default=0)
+    p.add_argument("--max", required=True, help="largest half-length")
+    p.add_argument("--level", default="0")
     p.set_defaults(handler=cmd_feet_table)
 
     p = sub.add_parser("frame", parents=[common], help="report on one frame")
@@ -349,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", parents=[common], help="exact path counts")
     p.add_argument("kind", choices=("dyck", "motzkin", "k-motzkin"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--n", required=True)
+    p.add_argument("--k", default=None)
     p.add_argument("--colors-h", default=None)
     p.add_argument("--colors-u", default=None)
     p.add_argument("--colors-d", default=None)
@@ -358,14 +350,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", parents=[common], help="list paths")
     p.add_argument("kind", choices=("dyck", "motzkin"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=None, help="restrict horizontal steps to this level")
+    p.add_argument("--n", required=True)
+    p.add_argument("--k", default=None, help="restrict horizontal steps to this level")
     p.add_argument("--frame", default=None, help="keep only paths with this frame")
     p.add_argument("--with-frame", action="store_true")
     p.set_defaults(handler=cmd_enumerate)
 
     p = sub.add_parser("verify", parents=[common], help="formula-vs-oracle checks")
-    p.add_argument("--max-n", type=int, default=6)
+    p.add_argument("--max-n", default="6")
     p.set_defaults(handler=cmd_verify)
 
     return parser
@@ -387,10 +379,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        # Every size flag a command was given, checked before any handler runs.
+        # Every size flag a command was given, read before any handler runs.
         for flag in ("n", "k", "max", "level", "max_n"):
-            if (getattr(args, flag, None) or 0) < 0:
-                raise ValueError(f"--{flag.replace('_', '-')} must be nonnegative")
+            text = getattr(args, flag, None)
+            if text is not None:
+                name = f"--{flag.replace('_', '-')}"
+                setattr(args, flag, frames.parse_count(text.removeprefix("-"), "size", name))
+                if text.startswith("-"):
+                    raise ValueError(f"{name} must be nonnegative")
         return handler(args)
     except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -416,7 +412,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotAdmissible, NotDyck, NotLifted, Underflow, refuse_over, require_size
-from .paths import Frozen, Path, _set_values, _trusted
+from .paths import Frozen, Path, _trusted, unchecked
 
 FRAME_ENUMERATION_CAP = 20
 
@@ -190,28 +190,24 @@ class Frame(Frozen):
 
 
 NULL_FRAME = Frame((1,))
+_trusted_frame = unchecked(Frame)  # for trimmed, admissible counts
 
 
-_set_counts = Frame.counts.__set__
+def parse_count(text: str, noun: str, where: str) -> int:
+    """Parse one nonnegative integer in ASCII digits, blanks around it ignored.
 
-
-def _trusted_frame(counts: RawSequence) -> Frame:
-    """A Frame over trimmed, admissible counts, set without a check."""
-    frame = object.__new__(Frame)
-    _set_counts(frame, counts)
-    _set_values(frame, (counts,))
-    return frame
+    A sign, an underscore or a digit of another script, which int() takes,
+    is refused with a ValueError that names noun and where.
+    """
+    piece = text.strip()
+    if not (piece.isascii() and piece.isdigit()):
+        raise ValueError(f"bad {noun} {piece!r} in {where}")
+    return int(piece)
 
 
 def parse_counts(text: str, noun: str, where: str) -> RawSequence:
-    """Parse comma-separated ASCII nonnegative integers; errors name noun and where."""
-    values = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not (piece.isascii() and piece.isdigit()):
-            raise ValueError(f"bad {noun} {piece!r} in {where}")
-        values.append(int(piece))
-    return tuple(values)
+    """Parse comma-separated numbers, each read by parse_count."""
+    return tuple(parse_count(piece, noun, where) for piece in text.split(","))
 
 
 def parse_frame_text(text: str) -> RawSequence:

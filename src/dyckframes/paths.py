@@ -8,7 +8,7 @@ counting formula elsewhere in the package is tested against.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import MalformedPath, refuse_over, require_size
 
@@ -16,6 +16,8 @@ DYCK_ENUMERATION_CAP = 16
 MOTZKIN_ENUMERATION_CAP = 14
 
 _RISE = {"U": 1, "D": -1, "H": 0}
+
+F = TypeVar("F", bound="Frozen")
 
 
 def _walk(text: str) -> Iterator[int]:
@@ -84,6 +86,24 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def unchecked(cls: type[F]) -> Callable[[object], F]:
+    """The unchecked constructor of cls, a Frozen class with one field.
+
+    It sets the field and the field tuple through their slot descriptors
+    and skips __init__, so no check runs: the caller vouches for the
+    value, as the package's walkers do for the paths and frames they build.
+    """
+    set_field, set_values = getattr(cls, cls.__slots__[0]).__set__, Frozen._values.__set__
+
+    def build(value):
+        obj = object.__new__(cls)
+        set_field(obj, value)
+        set_values(obj, (value,))
+        return obj
+
+    return build
+
+
 class Path(Frozen):
     """An immutable lattice path, stored as its string of U, D, and H steps.
 
@@ -120,17 +140,7 @@ class Path(Frozen):
 
 
 NULL_PATH = Path()
-
-
-_set_text, _set_values = Path.text.__set__, Frozen._values.__set__
-
-
-def _trusted(text: str) -> Path:
-    """A Path over text that is valid by construction, set without a check."""
-    path = object.__new__(Path)
-    _set_text(path, text)
-    _set_values(path, (text,))
-    return path
+_trusted = unchecked(Path)
 
 
 def parse_path(text: str) -> Path:

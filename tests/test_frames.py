@@ -333,6 +333,12 @@ class TestFrameClass:
                 assert walked == census[fr.counts]
                 assert len(walked) == frame_cardinality(fr)
 
+    def test_canonical_path_comes_first(self):
+        # The walker's first path is the one the reduction replays.
+        for n in range(11):
+            for fr in enumerate_frames(n):
+                assert next(frame_class(fr)).text == canonical_representative(fr).text
+
     def test_class_paths_validate(self):
         for n in range(10):
             for fr in enumerate_frames(n):

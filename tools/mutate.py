@@ -41,6 +41,7 @@ ENUMERATE_CLI = "tests/test_cli.py::TestEnumerate"
 HARNESS_CLI = "tests/test_cli.py::TestHarness::test_every_cap_lifts_by_flag_or_environment"
 ADMISSIBILITY = "tests/test_frames.py::TestAdmissibility"
 SIZES = "tests/test_sizes.py::test_bad_size_names_its_argument"
+SIZE_DIGITS = "tests/test_sizes.py::test_size_flags_take_ascii_digits_only"
 VERIFY = "tests/test_cli.py::TestVerify"
 WALKER = "tests/test_paths.py::TestWalker"
 NOT_APPLICABLE = "tests/test_cli.py::TestHarness::test_flags_that_do_not_apply_are_usage_errors"
@@ -203,7 +204,21 @@ MUTATIONS = (
         "frames.py",
         "if not (piece.isascii() and piece.isdigit()):",
         "if not piece.isdigit():",
-        ("tests/test_cli.py::TestCount::test_non_ascii_digits_are_usage_errors",),
+        ("tests/test_cli.py::TestCount::test_non_ascii_digits_are_usage_errors", SIZE_DIGITS),
+    ),
+    Mutation(
+        "a size flag is read with int",
+        "cli.py",
+        'frames.parse_count(text.removeprefix("-"), "size", name)',
+        'int(text.removeprefix("-"))',
+        (SIZE_DIGITS,),
+    ),
+    Mutation(
+        "unchecked values carry an empty field tuple",
+        "paths.py",
+        "set_values(obj, (value,))",
+        "set_values(obj, ())",
+        ("tests/test_frames.py::TestFrameType", "tests/test_frames.py::TestCanonicalRepresentative"),
     ),
     Mutation(
         "gap weight without the down colors",

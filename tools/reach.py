@@ -6,11 +6,14 @@ Runs pytest in this process under sys.settrace, recording the lines run
 in src/dyckframes only, then prints each statement of the package that
 no line event reached.  A statement that compiles to no bytecode (a bare
 annotation, a docstring, global) is skipped, since it can raise no
-event.  Each statement in REASONS is printed with the reason it stays
-unreached; the exit code is 0 when every unreached statement has one
-and 1 when one does not, or when a reason names a line whose text has
-changed or that the tests now reach (the list is stale).  Code that
-runs only in a subprocess is never traced.
+event.  A reason in REASONS is keyed by file, enclosing function and
+statement text, not by line, so an edit elsewhere in the file leaves it
+standing; it says how many statements with that key stay unreached.
+Each unreached statement is printed with its reason; the exit code is
+0 when every unreached statement has one and 1 when one does not, or
+when a reason's count is not the number of unreached statements with
+its key, as when its statement is gone or the tests now reach it (the
+list is stale).  Code that runs only in a subprocess is never traced.
 
 By default the three stream tests and acceptance criterion 4 are
 deselected: under tracing they take minutes and reach nothing new.
@@ -41,21 +44,18 @@ DESELECT = (
 )
 
 _SUBPROCESS = "the module runs only under python -m, which the tests start as subprocesses"
-# (file, line): (the line's text, stripped; why no test reaches it).
+# (file, enclosing function or "" at module level, the statement's lines
+# stripped and joined by spaces): (how many such statements stay
+# unreached, why no test reaches them).
 REASONS = {
-    ("__main__.py", 1): ("from .cli import main", _SUBPROCESS),
-    ("__main__.py", 3): ("raise SystemExit(main())", _SUBPROCESS),
-    ("cli.py", 422): (
-        "sys.exit(main())",
-        "runs only when cli.py is the main script, never in the tests' process",
-    ),
-    ("frames.py", 377): (
+    ("__main__.py", "", "from .cli import main"): (1, _SUBPROCESS),
+    ("__main__.py", "", "raise SystemExit(main())"): (1, _SUBPROCESS),
+    (
+        "frames.py",
+        "canonical_representative",
         'raise NotAdmissible(f"not reducible to the null frame: {frame.counts!r}")',
-        "a guard: every validated Frame reduces to (1,)",
-    ),
-    ("frames.py", 396): ("return False", "only a false theorem reaches it"),
-    ("frames.py", 398): ("return False", "only a false theorem reaches it"),
-    ("frames.py", 401): ("return False", "only a false theorem reaches it"),
+    ): (1, "a guard: every validated Frame reduces to (1,)"),
+    ("frames.py", "consequences_hold", "return False"): (3, "only a false theorem reaches them"),
 }
 
 
@@ -68,23 +68,32 @@ def _code_lines(code) -> set[int]:
     return lines
 
 
-def _statements(source: str, filename: str) -> list[tuple[int, range]]:
-    """(first line, lines) of each statement that compiles to bytecode.
+def _statements(source: str, filename: str) -> list[tuple[int, str, range]]:
+    """(first line, enclosing function, lines) of each statement with bytecode.
 
-    A compound statement's lines are its header only, up to its body, so
-    that a run of the body does not count as a run of the header.
+    The enclosing function is a dotted name such as Frame.parse, or ""
+    at module level.  A compound statement's lines are its header only,
+    up to its body, so that a run of the body does not count as a run of
+    the header.
     """
     bytecode = _code_lines(compile(source, filename, "exec"))
     found = []
-    for node in ast.walk(ast.parse(source, filename)):
-        if not isinstance(node, ast.stmt):
-            continue
-        first = min([node.lineno, *(d.lineno for d in getattr(node, "decorator_list", ()))])
-        body = getattr(node, "body", None)
-        last = body[0].lineno - 1 if body else node.end_lineno
-        lines = range(first, max(first, last) + 1)
-        if bytecode.intersection(lines):
-            found.append((node.lineno, lines))
+
+    def visit(parent: ast.AST, scope: str) -> None:
+        for node in ast.iter_child_nodes(parent):
+            inner = scope
+            if isinstance(node, ast.stmt):
+                first = min([node.lineno, *(d.lineno for d in getattr(node, "decorator_list", ()))])
+                body = getattr(node, "body", None)
+                last = body[0].lineno - 1 if body else node.end_lineno
+                lines = range(first, max(first, last) + 1)
+                if bytecode.intersection(lines):
+                    found.append((node.lineno, scope, lines))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    inner = f"{scope}.{node.name}" if scope else node.name
+            visit(node, inner)
+
+    visit(ast.parse(source, filename), "")
     return sorted(found, key=lambda item: item[0])
 
 
@@ -117,27 +126,31 @@ def main(argv: list[str]) -> int:
     args = ["-q", "-p", "no:cacheprovider", "tests"]
     args += [f"--deselect={test}" for test in DESELECT] + argv
     code, seen = _trace(args)
-    unexplained = stale = 0
-    explained = set(REASONS)
+    unexplained = 0
+    unreached = dict.fromkeys(REASONS, 0)
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text()
         text = source.splitlines()
         ran = seen.get(str(path), set())
-        for lineno, lines in _statements(source, str(path)):
-            key = (path.name, lineno)
-            explained.discard(key)
-            reached = not ran.isdisjoint(lines)
-            expected, reason = REASONS.get(key, (None, None))
-            if reason is not None and (reached or text[lineno - 1].strip() != expected):
-                print(f"stale reason  {path.name}:{lineno}: {reason}")
-                stale += 1
-            elif not reached:
-                unexplained += reason is None
-                print(f"{path.name}:{lineno}  {text[lineno - 1].strip()}")
-                print(f"    {reason or 'NO REASON'}")
-    for name, lineno in sorted(explained):  # a reason for no statement at all
-        print(f"stale reason  {name}:{lineno}: {REASONS[name, lineno][1]}")
-        stale += 1
+        for lineno, scope, lines in _statements(source, str(path)):
+            if not ran.isdisjoint(lines):
+                continue
+            statement = " ".join(text[i - 1].strip() for i in lines)
+            key = (path.name, scope, statement)
+            _, reason = REASONS.get(key, (0, None))
+            if reason is None:
+                unexplained += 1
+            else:
+                unreached[key] += 1
+            print(f"{path.name}:{lineno}  {statement}")
+            print(f"    {reason or 'NO REASON'}")
+    stale = 0
+    for (name, scope, statement), (expected, reason) in REASONS.items():
+        found = unreached[name, scope, statement]
+        if found != expected:  # the statement is gone, reached, or repeated
+            print(f"stale reason  {name} {scope or '<module>'}: {statement!r}: "
+                  f"{found} unreached, not {expected}: {reason}")
+            stale += 1
     print(f"pytest exited {code}; {unexplained} unreached without a reason, {stale} stale")
     return 1 if unexplained or stale else 0
 
