@@ -134,7 +134,7 @@ def cmd_frame(args: argparse.Namespace) -> int:
     # The class has at most C_n paths and the canonical path has 2n steps.
     cap = _cap(args, counting.CATALAN_CAP)
     refuse_over(f"frame {args.frame_text}", fr.length // 2, cap, "half-length")
-    ups = list(counting.up_steps_per_level(fr))
+    ups = list(frames.up_steps_per_level(fr))
     doc.update(
         admissible=True,
         frame=list(fr.counts),
@@ -407,7 +407,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         except (AttributeError, ValueError):
             pass  # stdout has no descriptor, so the exit flushes nothing there
         else:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
         return 1
     finally:
         if digit_limit is not None:

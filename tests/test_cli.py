@@ -867,12 +867,23 @@ class TestHarness:
         assert (code, err) == (1, b"")
 
     def test_closed_pipe_on_stdout_is_pointed_at_devnull(self, capsys, monkeypatch):
+        real_open, opened = os.open, []
+
+        def recording_open(*args, **kwargs):
+            opened.append(real_open(*args, **kwargs))
+            return opened[-1]
+
         read_end, write_end = os.pipe()
         os.close(read_end)
         with open(write_end, "w") as pipe:  # closing it flushes into devnull
             monkeypatch.setattr(sys, "stdout", pipe)
+            monkeypatch.setattr(os, "open", recording_open)
             assert main(["enumerate", "motzkin", "--n", "12"]) == 1
             monkeypatch.undo()
+            assert opened  # main opened devnull, and closed it after dup2
+            for fd in opened:
+                with pytest.raises(OSError):
+                    os.fstat(fd)
         assert capsys.readouterr().err == ""
 
     def test_closed_stdout_without_a_descriptor_exits_1(self, capsys, monkeypatch):

@@ -72,20 +72,24 @@ def _statements(source: str, filename: str) -> list[tuple[int, str, range]]:
     """(first line, enclosing function, lines) of each statement with bytecode.
 
     The enclosing function is a dotted name such as Frame.parse, or ""
-    at module level.  A compound statement's lines are its header only,
-    up to its body, so that a run of the body does not count as a run of
-    the header.
+    at module level.  A decorated statement starts at its first
+    decorator.  A compound statement's lines are its header only, up to
+    the start of its body, so that a run of the body does not count as a
+    run of the header.
     """
     bytecode = _code_lines(compile(source, filename, "exec"))
     found = []
+
+    def start(node: ast.stmt) -> int:
+        return min([node.lineno, *(d.lineno for d in getattr(node, "decorator_list", ()))])
 
     def visit(parent: ast.AST, scope: str) -> None:
         for node in ast.iter_child_nodes(parent):
             inner = scope
             if isinstance(node, ast.stmt):
-                first = min([node.lineno, *(d.lineno for d in getattr(node, "decorator_list", ()))])
+                first = start(node)
                 body = getattr(node, "body", None)
-                last = body[0].lineno - 1 if body else node.end_lineno
+                last = start(body[0]) - 1 if body else node.end_lineno
                 lines = range(first, max(first, last) + 1)
                 if bytecode.intersection(lines):
                     found.append((node.lineno, scope, lines))
