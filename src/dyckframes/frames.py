@@ -30,12 +30,15 @@ def trim(seq: Iterable[int] | "Frame") -> RawSequence:
     """A sequence as a tuple with trailing int zeros removed.
 
     A tuple whose last entry is not 0 is returned as it is, without a
-    copy or a scan: the deciders trim every sequence they are given.  A
-    zero that is not an int, such as 0.0 or False, stays for them to refuse.
+    copy or a scan, and any other tuple is scanned without a copy: the
+    deciders trim every sequence they are given.  A zero that is not an
+    int, such as 0.0 or False, stays for them to refuse.
     """
-    if type(seq) is tuple and seq and seq[-1] != 0:
-        return seq
-    if isinstance(seq, Frame):
+    if type(seq) is tuple:
+        if seq and seq[-1] != 0:
+            return seq
+        counts = seq
+    elif isinstance(seq, Frame):
         counts = seq.counts
     else:
         try:

@@ -795,7 +795,8 @@ class TestVerify:
         assert time.perf_counter() - start < 0.5
 
     def test_sweeps_cover_their_domains_once(self):
-        sequences = list(verify_module._sequences_up_to(3, 5))
+        flat = itertools.chain.from_iterable
+        sequences = list(flat(verify_module._sequences_up_to(3, 5)))
         brute = {
             t
             for length in range(4)
@@ -813,10 +814,35 @@ class TestVerify:
         assert len(vectors) == len(set(vectors)) and set(vectors) == brute
         # The sizes verify serves at --max-n 8: a faster generator must not
         # shrink a sweep.
-        served = Counter(verify_module._sequences_up_to(6, 17))
+        served = Counter(flat(verify_module._sequences_up_to(6, 17)))
         assert len(served) == sum(served.values()) == math.comb(24, 6) == 134_596
         served = Counter(verify_module._positive_vectors(8))
         assert len(served) == sum(served.values()) == 2**8 - 1
+
+    def test_decider_sweep_calls_each_decider_once_per_sequence(self, monkeypatch):
+        calls = Counter()
+        for name in ("is_admissible_trace", "is_admissible_closed"):
+            decider = getattr(cli.frames, name)
+
+            def counted(seq, name=name, decider=decider):
+                calls[name] += 1
+                return decider(seq)
+
+            monkeypatch.setattr(cli.frames, name, counted)
+        assert verify_module.run_verification(8).ok
+        assert calls == {"is_admissible_trace": 134_596, "is_admissible_closed": 134_596}
+
+    def test_decider_sweep_streams_its_batches(self):
+        # Listing the 134,596 tuples takes about 12 MB; the tail table and
+        # one batch peak near 0.36 MB.
+        tracemalloc.start()
+        try:
+            for _ in verify_module._sequences_up_to(6, 17):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_injected_fault_fails(self, capsys, monkeypatch):
         original = cli.counting.catalan

@@ -46,6 +46,8 @@ ADMISSIBILITY = "tests/test_frames.py::TestAdmissibility"
 SIZES = "tests/test_sizes.py::test_bad_size_names_its_argument"
 SIZE_DIGITS = "tests/test_sizes.py::test_size_flags_take_ascii_digits_only"
 VERIFY = "tests/test_cli.py::TestVerify"
+FACT_FAULTS = f"{VERIFY}::test_fact_checks_catch_a_fault"
+ROUTE_FAULTS = f"{VERIFY}::test_route_checks_use_the_second_route"
 WALKER = "tests/test_paths.py::TestWalker"
 NOT_APPLICABLE = "tests/test_cli.py::TestHarness::test_flags_that_do_not_apply_are_usage_errors"
 SIZE_FLAGS = '("n", "k", "max", "level", "max_n")'  # the flags cli.main checks
@@ -348,8 +350,8 @@ MUTATIONS = (
     ),
     Mutation(
         "trim returns a tuple with trailing zeros as it is",
-        "if type(seq) is tuple and seq and seq[-1] != 0:",
-        "if type(seq) is tuple:",
+        "if seq and seq[-1] != 0:",
+        "if True:",
         ("tests/test_frames.py::TestFrameType",),
     ),
     # Frame checks entry types only through the closed decider.
@@ -604,6 +606,42 @@ MUTATIONS = (
         "(counting.count_colored_dyck(n, all_ones), counting.catalan(n))",
         "(counting.count_colored_dyck(n, all_ones), counting.count_colored_dyck(n, all_ones))",
         (VERIFY,),
+    ),
+    Mutation(
+        "colored Dyck frame sum compares the DP with itself",
+        "counting.count_by_frames(2 * n, no_flats, cap=None)",
+        "counting.count_colored_dyck(n, spec)",
+        (ROUTE_FAULTS,),
+    ),
+    Mutation(
+        "colored Motzkin frame sum compares the DP with itself",
+        "counting.count_by_frames(n, spec, cap=None)",
+        "counting.count_colored_motzkin(n, spec)",
+        (ROUTE_FAULTS,),
+    ),
+    Mutation(
+        "k-Motzkin foot table compares the DP with itself",
+        "counting.count_k_motzkin_by_feet(n, k, 2)",
+        "counting.count_k_motzkin(n, k, 2)",
+        (ROUTE_FAULTS,),
+    ),
+    Mutation(
+        "decider agreement compares the trace decider with itself",
+        "map(closed, batch)",
+        "map(trace, batch)",
+        (FACT_FAULTS,),
+    ),
+    Mutation(
+        "binomial identity check compares the fact with itself",
+        "(counting.binomial_identity_check(m, parts), True)",
+        "(True, True)",
+        (FACT_FAULTS,),
+    ),
+    Mutation(
+        "decider sweep tail table reads the wrong remainder",
+        "shorter[r - v]",
+        "shorter[r]",
+        (f"{VERIFY}::test_sweeps_cover_their_domains_once",),
     ),
     Mutation(
         "devnull descriptor left open",
