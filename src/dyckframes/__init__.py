@@ -71,58 +71,9 @@ from .paths import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ColorSpec",
-    "DYCK_ENUMERATION_CAP",
-    "DyckFramesError",
-    "FRAME_ENUMERATION_CAP",
-    "FootTable",
-    "Frame",
-    "MOTZKIN_ENUMERATION_CAP",
-    "MalformedPath",
-    "NULL_FRAME",
-    "NULL_PATH",
-    "NotAdmissible",
-    "NotDyck",
-    "NotLifted",
-    "Path",
-    "RawSequence",
-    "ResourceLimit",
-    "Underflow",
-    "binomial",
-    "binomial_identity_check",
-    "canonical_representative",
-    "catalan",
-    "consequences_hold",
-    "count_colored_dyck",
-    "count_colored_motzkin",
-    "count_k_motzkin",
-    "count_motzkin",
-    "ensure_frame",
-    "enumerate_dyck",
-    "enumerate_frames",
-    "enumerate_motzkin",
-    "extend_frame",
-    "feet_level0",
-    "feet_table",
-    "foot_count",
-    "frame_cardinality",
-    "frame_length",
-    "frame_of",
-    "glue",
-    "glue_frames",
-    "is_admissible_closed",
-    "is_admissible_trace",
-    "left_progenitor",
-    "level_sequence",
-    "lift",
-    "lift_frame",
-    "parse_frame_text",
-    "parse_path",
-    "right_progenitor",
-    "trim",
-    "unextend",
-    "unlift",
-    "up_steps_per_level",
-    "weak_compositions",
-]
+# Every public name imported above; the submodules are reached by their own names.
+__all__ = sorted(
+    name
+    for name in globals()
+    if not name.startswith("_") and name not in {"counting", "errors", "frames", "paths"}
+)

@@ -101,7 +101,7 @@ def _cap(args: argparse.Namespace, cap: int) -> int | None:
 
 
 def cmd_feet_table(args: argparse.Namespace) -> int:
-    terms = counting.foot_table_terms(args.level, args.max)
+    terms = counting.foot_table_terms(args.max)
     what = f"feet-table --max {args.max} --level {args.level}"
     refuse_over(what, terms, _cap(args, counting.FOOT_TABLE_TERM_CAP), "packed DP entries")
     table = counting.feet_table(args.level, args.max)
@@ -269,7 +269,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         listed = ({"path": r[0], "frame": list(r[1:])} if args.with_frame else r[0] for r in rows)
         doc.update(count=total, paths=listed)
     if args.frame is not None:
-        doc["frame"] = list(wanted or ())
+        doc["frame"] = list(wanted)
     if args.k is not None:
         doc["k"] = args.k
     _emit(args.format, doc, rows)

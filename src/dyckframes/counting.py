@@ -32,10 +32,10 @@ from .paths import Frozen
 # a half-length whose number prints in about a tenth of a second.
 TRANSFER_CELL_CAP = 2_000_000
 CATALAN_CAP = 30_000
-# The foot-table cap is in foot_table_terms, packed DP entries plus one
-# per level: it admits feet-table --max up to 214 (--max 214 --level 4
-# takes a median 0.39 s and 36 MB peak RSS as a python -m dyckframes
-# subprocess, CPython 3.11 on a 2-vCPU Xeon VM) and --level up to 19,999,999.
+# The foot-table cap is in foot_table_terms, the packed DP entries of the
+# one level built: it admits feet-table --max up to 214 at any --level
+# (--max 214 --level 4: median of 21 runs 0.40 s, 31 MB peak RSS as a python
+# -m dyckframes subprocess, CPython 3.11.7 on a 2-vCPU Intel Xeon VM).
 FOOT_TABLE_TERM_CAP = 20_000_000
 
 
@@ -197,15 +197,11 @@ def transfer_charge(steps: int, colors: ColorSpec) -> int:
     return transfer_cells(steps) * max(1, -(-widest // 64))
 
 
-def foot_table_terms(max_level: int, max_half_length: int) -> int:
-    """Work of one FootTable level up to max_half_length, plus one per level.
-
-    A level is one transfer DP over 2 * max_half_length steps, whose
-    cells each hold max_half_length + 2 packed entries; the unit per
-    level asked for keeps a tall table of short rows bounded too.
-    """
-    cells = transfer_cells(2 * max_half_length) * (max_half_length + 2)
-    return cells + max_level + 1
+def foot_table_terms(max_half_length: int) -> int:
+    """Work of one FootTable level up to max_half_length: one transfer DP
+    over 2 * max_half_length steps, whose cells each hold
+    max_half_length + 2 packed entries."""
+    return transfer_cells(2 * max_half_length) * (max_half_length + 2)
 
 
 def _transfer_count(steps: int, h: Sequence[int], w: Sequence[int]) -> int:

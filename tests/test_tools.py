@@ -1,9 +1,11 @@
 """The repository's tools: the mutation list is not stale, and the reach
-report's statement finder keeps its rules."""
+report's statement finder keeps its rules and its reasons name statements
+that still exist."""
 
 from __future__ import annotations
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -66,3 +68,12 @@ class TestReachStatements:
             (11, "Frame.parse", range(11, 14)),
             (14, "Frame.parse", range(14, 15)),
         ]
+
+    def test_every_reason_still_names_its_statements(self):
+        found = Counter(
+            key
+            for path in sorted(reach.PACKAGE.glob("*.py"))
+            for _, key, _ in reach.keyed_statements(path)
+        )
+        for key, (expected, _) in reach.REASONS.items():
+            assert found[key] >= expected, key

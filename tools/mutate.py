@@ -89,9 +89,9 @@ MUTATIONS = (
         (FEET,),
     ),
     Mutation(
-        "foot-table bound without the per-level unit",
-        "return cells + max_level + 1",
-        "return cells",
+        "foot-table bound charges half the DP steps",
+        "transfer_cells(2 * max_half_length)",
+        "transfer_cells(max_half_length)",
         (FEET_CLI,),
     ),
     Mutation(

@@ -17,12 +17,12 @@ list is stale).  Code that runs only in a subprocess is never traced.
 
 By default the three stream tests and acceptance criterion 4 are
 deselected: under tracing they take minutes and reach nothing new.
-Tracing slows the package several times over, so a timing bound such
-as the one in
-tests/test_counting.py::TestFrameSum::test_matches_transfer_dp_up_to_n_24
-can fail; the statements are reported anyway, with pytest's exit code.
-The whole run takes about two minutes on a 2-vCPU host.  Standard
-library and pytest only; not part of the tier-1 suite.
+Tracing slows the package several times over, so the tests in UNTRACED,
+whose wall-clock bounds cannot hold under it, are left out of the traced
+run and run in a second pytest run without the tracer.  Both exit codes
+are printed, and either run failing makes the exit code 1 too.  The
+whole run takes about two minutes on a 2-vCPU host.  Standard library
+and pytest only; not part of the tier-1 suite.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ DESELECT = (
     "tests/test_cli.py::TestEnumerate::test_json_rows_stream",
     "tests/test_acceptance.py::test_criterion_4_decider_agreement_sweep",
 )
+UNTRACED = ("tests/test_counting.py::TestFrameSum::test_matches_transfer_dp_up_to_n_24",)
 
 _SUBPROCESS = "the module runs only under python -m, which the tests start as subprocesses"
 # (file, enclosing function or "" at module level, the statement's lines
@@ -101,6 +102,16 @@ def _statements(source: str, filename: str) -> list[tuple[int, str, range]]:
     return sorted(found, key=lambda item: item[0])
 
 
+def keyed_statements(path: Path) -> list[tuple[int, tuple[str, str, str], range]]:
+    """(first line, REASONS key, lines) of each statement with bytecode in path."""
+    source = path.read_text()
+    text = source.splitlines()
+    return [
+        (lineno, (path.name, scope, " ".join(text[i - 1].strip() for i in lines)), lines)
+        for lineno, scope, lines in _statements(source, str(path))
+    ]
+
+
 def _trace(args: list[str]) -> tuple[int, dict[str, set[int]]]:
     """Run pytest with args; return its exit code and the lines run per file."""
     prefix = str(PACKAGE) + os.sep
@@ -127,26 +138,24 @@ def _trace(args: list[str]) -> tuple[int, dict[str, set[int]]]:
 def main(argv: list[str]) -> int:
     os.chdir(ROOT)
     sys.path.insert(0, str(ROOT / "src"))
-    args = ["-q", "-p", "no:cacheprovider", "tests"]
-    args += [f"--deselect={test}" for test in DESELECT] + argv
+    options = ["-q", "-p", "no:cacheprovider"]
+    args = [*options, "tests"]
+    args += [f"--deselect={test}" for test in (*DESELECT, *UNTRACED)] + argv
     code, seen = _trace(args)
+    untraced = int(pytest.main([*options, *UNTRACED]))
     unexplained = 0
     unreached = dict.fromkeys(REASONS, 0)
     for path in sorted(PACKAGE.glob("*.py")):
-        source = path.read_text()
-        text = source.splitlines()
         ran = seen.get(str(path), set())
-        for lineno, scope, lines in _statements(source, str(path)):
+        for lineno, key, lines in keyed_statements(path):
             if not ran.isdisjoint(lines):
                 continue
-            statement = " ".join(text[i - 1].strip() for i in lines)
-            key = (path.name, scope, statement)
             _, reason = REASONS.get(key, (0, None))
             if reason is None:
                 unexplained += 1
             else:
                 unreached[key] += 1
-            print(f"{path.name}:{lineno}  {statement}")
+            print(f"{path.name}:{lineno}  {key[2]}")
             print(f"    {reason or 'NO REASON'}")
     stale = 0
     for (name, scope, statement), (expected, reason) in REASONS.items():
@@ -156,7 +165,8 @@ def main(argv: list[str]) -> int:
                   f"{found} unreached, not {expected}: {reason}")
             stale += 1
     print(f"pytest exited {code}; {unexplained} unreached without a reason, {stale} stale")
-    return 1 if unexplained or stale else 0
+    print(f"untraced pytest exited {untraced}")
+    return 1 if unexplained or stale or code or untraced else 0
 
 
 if __name__ == "__main__":
