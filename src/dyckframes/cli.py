@@ -24,7 +24,6 @@ from .errors import DyckFramesError, NotAdmissible, ResourceLimit, refuse_over
 from .verify import run_verification
 
 FORMATS = ("table", "csv", "json")
-ALLOW_LARGE_ENV = "DYCKFRAMES_ALLOW_LARGE"
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -104,7 +103,7 @@ def cmd_feet_table(args: argparse.Namespace) -> int:
     terms = counting.foot_table_terms(args.max)
     what = f"feet-table --max {args.max} --level {args.level}"
     refuse_over(what, terms, _cap(args, counting.FOOT_TABLE_TERM_CAP), "packed DP entries")
-    table = counting.feet_table(args.level, args.max)
+    table = counting.feet_table(args.max)
     start = 1 if args.level == 0 else 0
     columns = list(range(start, max(args.max, MIN_FEET_COLUMNS) + 1))
     rows = [[table.count(n, args.level, j) for j in columns] for n in range(args.max + 1)]
@@ -320,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--allow-large",
         action="store_true",
-        help="lift the enumeration size caps (also via %s=1)" % ALLOW_LARGE_ENV,
+        help="lift every size cap",
     )
 
     parser = argparse.ArgumentParser(
@@ -369,9 +368,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    # The one reading of the environment variable; handlers see args alone.
-    env = os.environ.get(ALLOW_LARGE_ENV, "").strip().lower()
-    args.allow_large = args.allow_large or env in ("1", "true", "yes")
     handler: Callable[[argparse.Namespace], int] = args.handler
     # Exact counts can pass the 4300-digit limit on int-to-str conversion,
     # which print and json.dumps both obey; lift it while the command runs.

@@ -68,21 +68,15 @@ class FootTable:
     steps across gap k, plus the start node at s = 0.  The transfer DP
     with weight x on those gaps gives the foot polynomial at x for every
     half-length in one pass; with x = 2**b > C_max, a row is its base-x
-    digits.  A level is built on first use and cached; a query past the
-    half-length bound is answered by a table built for it, so the bounds
-    never change.
+    digits.  The one bound is the half-length: any level is built on
+    first use and cached, and a query past the bound is answered by a
+    table built for it, so the bound never changes.
     """
 
-    def __init__(self, max_level: int, max_half_length: int) -> None:
-        require_size("max_level", max_level)
+    def __init__(self, max_half_length: int) -> None:
         require_size("max_half_length", max_half_length)
-        self._max_level = max_level
         self._max_half_length = max_half_length
         self._levels: dict[int, list[tuple[int, ...]]] = {}
-
-    @property
-    def max_level(self) -> int:
-        return self._max_level
 
     @property
     def max_half_length(self) -> int:
@@ -110,7 +104,7 @@ class FootTable:
         require_size("half_length", half_length)
         require_size("level", level)
         if half_length > self._max_half_length:
-            return FootTable(level, half_length).row(half_length, level)
+            return FootTable(half_length).row(half_length, level)
         if level not in self._levels:
             self._levels[level] = self._build(level)
         return self._levels[level][half_length]
@@ -123,13 +117,14 @@ class FootTable:
 
 
 def feet_level0(max_half_length: int) -> FootTable:
-    """Level-0 foot counts for every length up to 2 * max_half_length."""
-    return FootTable(0, max_half_length)
+    """Level-0 foot counts for every length up to 2 * max_half_length:
+    the same table as feet_table, read at level 0."""
+    return FootTable(max_half_length)
 
 
-def feet_table(max_level: int, max_half_length: int) -> FootTable:
-    """Full foot-count table up to the given level and length bounds."""
-    return FootTable(max_level, max_half_length)
+def feet_table(max_half_length: int) -> FootTable:
+    """Foot counts at every level for lengths up to 2 * max_half_length."""
+    return FootTable(max_half_length)
 
 
 def frame_cardinality(frame: Frame | Sequence[int]) -> int:
@@ -370,7 +365,7 @@ def count_k_motzkin_by_feet(n: int, k: int, r: int = 1) -> int:
     require_size("k", k)
     _require_r(r)
     half = n // 2
-    table = feet_table(k, half)
+    table = feet_table(half)
     total = 0
     for j in range(half + 1):
         flat = n - 2 * j

@@ -126,7 +126,7 @@ def run_verification(max_n: int, cap: int | None = paths.DYCK_ENUMERATION_CAP) -
             tally[frame.foot_count(level)] += many
         return ((table.count(n, level, k), tally[k]) for k in range(n + 2))
 
-    table = counting.feet_table(max_n, max_n)
+    table = counting.feet_table(max_n)
     for n in to_max:
         census = Counter(map(frames.frame_of, paths.enumerate_dyck(n, cap=None)))
         formula = list(frames.enumerate_frames(n, cap=None))

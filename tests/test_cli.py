@@ -70,11 +70,12 @@ class TestFeetTable:
         assert code == 2
 
     def test_huge_level_costs_nothing(self, capsys):
-        argv = ("feet-table", "--max", "5")
-        _, expected = run(capsys, *argv, "--level", "6")
-        start = time.perf_counter()
-        assert run(capsys, *argv, "--level", "100000000") == (0, expected)
-        assert time.perf_counter() - start < 0.5
+        for top, near, far in (("5", "6", "100000000"), ("0", "1", "833333")):
+            argv = ("feet-table", "--max", top)
+            _, expected = run(capsys, *argv, "--level", near)
+            start = time.perf_counter()
+            assert run(capsys, *argv, "--level", far) == (0, expected)
+            assert time.perf_counter() - start < 0.5
 
     def test_bound_admits_the_benchmark_and_verify_tables(self):
         cap = cli.counting.FOOT_TABLE_TERM_CAP
@@ -92,15 +93,10 @@ class TestFeetTable:
         assert cli.counting.foot_table_terms(214) <= cap
         assert cli.counting.foot_table_terms(215) > cap
 
-    def test_tall_table_of_short_rows_is_admitted(self, capsys):
-        argv = ("feet-table", "--max", "0", "--format", "csv")
-        _, expected = run(capsys, *argv, "--level", "1")
-        assert run(capsys, *argv, "--level", "833333") == (0, expected)
-
     def test_levels_above_max_plus_one_repeat(self, capsys):
         argv = ("feet-table", "--max", "3", "--format", "csv")
         _, expected = run(capsys, *argv, "--level", "4")
-        assert run(capsys, *argv, "--level", "100000", "--allow-large") == (0, expected)
+        assert run(capsys, *argv, "--level", "100000") == (0, expected)
 
     def test_allow_large_lifts_the_feet_table_bound(self, capsys, monkeypatch):
         argv = ("feet-table", "--max", "3", "--level", "1", "--format", "csv")
@@ -452,11 +448,10 @@ class TestEnumerate:
         assert len(out.splitlines()) == 5
 
     def test_allow_large_env_var(self, capsys, monkeypatch):
+        # No environment variable lifts a cap; only the flag in argv does.
         monkeypatch.setattr(paths_module, "DYCK_ENUMERATION_CAP", 2)
-        monkeypatch.setenv(cli.ALLOW_LARGE_ENV, "1")
-        code, out = run(capsys, "enumerate", "dyck", "--n", "3", "--format", "csv")
-        assert code == 0
-        assert len(out.splitlines()) == 5
+        monkeypatch.setenv("DYCKFRAMES_ALLOW_LARGE", "1")
+        assert run(capsys, "enumerate", "dyck", "--n", "3", "--format", "csv") == (3, "")
 
     def test_frame_filter_with_motzkin_is_usage_error(self, capsys):
         code, _ = run(capsys, "enumerate", "motzkin", "--n", "3", "--frame", "2,1")
@@ -939,9 +934,8 @@ class TestHarness:
         assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("name", CLI_CAPS)
-    def test_every_cap_lifts_by_flag_or_environment(self, capsys, monkeypatch, name):
+    def test_every_cap_lifts_by_flag(self, capsys, monkeypatch, name):
         module, attr, cap, argv = CLI_CAPS[name]
-        monkeypatch.delenv(cli.ALLOW_LARGE_ENV, raising=False)
         monkeypatch.setattr(module, attr, cap)
         assert main(list(argv)) == 3
         captured = capsys.readouterr()
@@ -950,8 +944,10 @@ class TestHarness:
         assert captured.err.endswith(f" exceeds the cap of {cap}\n")
         code, lifted = run(capsys, *argv, "--allow-large")
         assert code == 0 and lifted
-        monkeypatch.setenv(cli.ALLOW_LARGE_ENV, "1")
-        assert run(capsys, *argv) == (0, lifted)
+        # The flag is the only way: DYCKFRAMES_ALLOW_LARGE=1 lifts nothing.
+        monkeypatch.setenv("DYCKFRAMES_ALLOW_LARGE", "1")
+        assert main(list(argv)) == 3
+        assert capsys.readouterr() == captured
 
     @pytest.mark.parametrize(
         "argv",

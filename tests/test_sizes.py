@@ -50,13 +50,12 @@ SIZE_ARGUMENTS = (
     ("Frame.foot_count", "level", Frame((3, 4, 3, 1)).foot_count),
     ("run_verification", "max_n", run_verification),
     ("catalan", "n", catalan),
-    ("FootTable", "max_level", lambda v: FootTable(v, 2)),
-    ("FootTable", "max_half_length", lambda v: FootTable(2, v)),
-    ("FootTable.row", "half_length", lambda v: FootTable(2, 2).row(v, 1)),
-    ("FootTable.row", "level", lambda v: FootTable(2, 2).row(1, v)),
-    ("FootTable.count", "half_length", lambda v: FootTable(2, 2).count(v, 1, 1)),
-    ("FootTable.count", "level", lambda v: FootTable(2, 2).count(1, v, 1)),
-    ("FootTable.count", "feet", lambda v: FootTable(2, 2).count(1, 1, v)),
+    ("FootTable", "max_half_length", FootTable),
+    ("FootTable.row", "half_length", lambda v: FootTable(2).row(v, 1)),
+    ("FootTable.row", "level", lambda v: FootTable(2).row(1, v)),
+    ("FootTable.count", "half_length", lambda v: FootTable(2).count(v, 1, 1)),
+    ("FootTable.count", "level", lambda v: FootTable(2).count(1, v, 1)),
+    ("FootTable.count", "feet", lambda v: FootTable(2).count(1, 1, v)),
     ("count_motzkin", "n", count_motzkin),
     ("count_colored_dyck", "n", lambda v: count_colored_dyck(v, SPEC)),
     ("count_colored_motzkin", "n", lambda v: count_colored_motzkin(v, SPEC)),

@@ -1,14 +1,17 @@
-"""The repository's tools: the mutation list is not stale, and the reach
-report's statement finder keeps its rules and its reasons name statements
-that still exist."""
+"""The repository's tools: the mutation list is not stale, every test id
+the tools name is a test that exists, and the reach report's statement
+finder keeps its rules and its reasons name statements that still
+exist."""
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 from collections import Counter
 from pathlib import Path
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
 
 
 def _load(name: str):
@@ -37,6 +40,47 @@ class TestMutationList:
         absent = mutate.Mutation("absent", "this text is in no module", "", ())
         repeated = mutate.Mutation("repeated", 'require_size("n", n)', "", ())
         assert mutate.locate([absent, repeated]) == ({}, ["absent", "repeated"])
+
+
+def _defined(path: Path) -> set[tuple[str, ...]]:
+    """Every module-level class and function of a test file, and every
+    method of its classes as ("TestX", "test_y"), read from its ast."""
+    found: set[tuple[str, ...]] = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            found.add((node.name,))
+        if isinstance(node, ast.ClassDef):
+            found.update((node.name, f.name) for f in node.body if isinstance(f, ast.FunctionDef))
+    return found
+
+
+def _names_a_test(node_id: str) -> bool:
+    file, *names = node_id.split("::")
+    path = ROOT / file
+    return path.is_file() and (not names or tuple(names) in _defined(path))
+
+
+class TestNodeIds:
+    # pytest ignores a --deselect that names no test without a word, so a
+    # renamed stream test would be traced for minutes; a stale mutation id
+    # shows only as the unmutated copy failing its tests.
+    def test_every_id_the_tools_name_is_a_test(self):
+        ids = [test for mutation in mutate.MUTATIONS for test in mutation.tests]
+        ids += [*reach.DESELECT, *reach.UNTRACED]
+        assert ids
+        assert [node_id for node_id in ids if not _names_a_test(node_id)] == []
+
+    def test_stale_ids_are_found(self):
+        assert _names_a_test("tests/test_tools.py::TestNodeIds::test_stale_ids_are_found")
+        assert _names_a_test("tests/test_tools.py::TestNodeIds")
+        assert _names_a_test("tests/test_tools.py")
+        for stale in (
+            "tests/test_tools.py::TestNodeIds::test_gone",
+            "tests/test_tools.py::test_stale_ids_are_found",  # a method is not module level
+            "tests/test_gone.py::test_x",
+            "tests/test_gone.py",
+        ):
+            assert not _names_a_test(stale), stale
 
 
 SOURCE = '''\

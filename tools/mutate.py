@@ -41,7 +41,7 @@ class Mutation(NamedTuple):
 FEET = "tests/test_counting.py::TestFeetTable"
 FEET_CLI = "tests/test_cli.py::TestFeetTable"
 ENUMERATE_CLI = "tests/test_cli.py::TestEnumerate"
-HARNESS_CLI = "tests/test_cli.py::TestHarness::test_every_cap_lifts_by_flag_or_environment"
+HARNESS_CLI = "tests/test_cli.py::TestHarness::test_every_cap_lifts_by_flag"
 ADMISSIBILITY = "tests/test_frames.py::TestAdmissibility"
 SIZES = "tests/test_sizes.py::test_bad_size_names_its_argument"
 SIZE_DIGITS = "tests/test_sizes.py::test_size_flags_take_ascii_digits_only"
@@ -441,12 +441,6 @@ MUTATIONS = (
         (ADMISSIBILITY,),
     ),
     Mutation(
-        "main ignores the environment variable",
-        'env = os.environ.get(ALLOW_LARGE_ENV, "").strip().lower()',
-        'env = ""',
-        (HARNESS_CLI,),
-    ),
-    Mutation(
         "a cap is still applied under --allow-large",
         "return None if args.allow_large else cap",
         "return cap",
@@ -484,7 +478,7 @@ MUTATIONS = (
     ),
     Mutation(
         "foot table grows itself on a larger query",
-        "            return FootTable(level, half_length).row(half_length, level)\n",
+        "            return FootTable(half_length).row(half_length, level)\n",
         "            self._max_half_length = half_length\n            self._levels.clear()\n",
         (f"{FEET}::test_rebuilds_on_larger_query",),
     ),

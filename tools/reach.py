@@ -15,7 +15,7 @@ when a reason's count is not the number of unreached statements with
 its key, as when its statement is gone or the tests now reach it (the
 list is stale).  Code that runs only in a subprocess is never traced.
 
-By default the three stream tests and acceptance criterion 4 are
+By default the two stream tests and acceptance criterion 4 are
 deselected: under tracing they take minutes and reach nothing new.
 Tracing slows the package several times over, so the tests in UNTRACED,
 whose wall-clock bounds cannot hold under it, are left out of the traced
