@@ -17,11 +17,11 @@ import argparse
 import os
 import sys
 from itertools import count, islice
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import counting, frames, paths
 from .errors import DyckFramesError, NotAdmissible, ResourceLimit, refuse_over
-from .verify import run_verification
 
 FORMATS = ("table", "csv", "json")
 
@@ -253,7 +253,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         walk, total = iter(()), 0
     rows: Iterable[tuple]
     if wanted is None and not args.with_frame:
-        rows = ((p.text,) for p in walk)
+        rows = zip(map(attrgetter("text"), walk))
     else:  # one frame per path, checked against --frame and printed by --with-frame
         rows = (
             (p.text, *counts) if args.with_frame else (p.text,)
@@ -262,10 +262,14 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             if wanted is None or counts == wanted
         )
     printed = count()  # zip draws one number per row printed
-    rows = (row for row, _ in zip(rows, printed))
+    rows = map(itemgetter(0), zip(rows, printed))
     doc: dict = {"command": "enumerate", "kind": args.kind, "n": args.n}
     if args.format == "json":  # the count comes before the paths
-        listed = ({"path": r[0], "frame": list(r[1:])} if args.with_frame else r[0] for r in rows)
+        listed = (
+            ({"path": r[0], "frame": list(r[1:])} for r in rows)
+            if args.with_frame
+            else map(itemgetter(0), rows)
+        )
         doc.update(count=total, paths=listed)
     if args.frame is not None:
         doc["frame"] = list(wanted)
@@ -286,7 +290,20 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------------- verify
 
 
+def __getattr__(name: str):
+    """Serve run_verification from verify, loaded on first use, so that
+    no command but verify imports that module."""
+    if name == "run_verification":
+        from .verify import run_verification
+
+        return run_verification
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
+    # Read from verify at each call, so a rebinding there (bench/tracing.py) runs.
+    from .verify import run_verification
+
     report = run_verification(args.max_n, _cap(args, paths.DYCK_ENUMERATION_CAP))
     rows = [
         [check.name, check.params, check.expected, check.actual, int(check.passed)]

@@ -148,13 +148,52 @@ class TestTrimFastPath:
             assert type(result) is tuple and result == (2, 1)
 
 
-def test_cli_import_loads_neither_dataclasses_nor_json():
-    probe = (
-        "import sys; before = set(sys.modules); import dyckframes.cli; "
-        "print(sorted({'dataclasses', 'json'} & (set(sys.modules) - before)))"
-    )
+def _fresh_python(probe: str) -> str:
+    """The last line that probe prints, run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout.splitlines()[-1]
+
+
+def test_cli_import_loads_neither_dataclasses_json_nor_verify():
+    probe = (
+        "import sys; before = set(sys.modules); import dyckframes.cli; "
+        "print(sorted({'dataclasses', 'json', 'dyckframes.verify'} & (set(sys.modules) - before)))"
+    )
+    assert _fresh_python(probe) == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["count", "dyck", "--n", "3"], False),
+        (["frame", "6,11,7,1"], False),
+        (["enumerate", "dyck", "--n", "3"], False),
+        (["feet-table", "--max", "3"], False),
+        (["verify", "--max-n", "1"], True),
+    ],
+    ids=["count", "frame", "enumerate", "feet-table", "verify"],
+)
+def test_only_verify_loads_the_verify_module(argv, loaded):
+    probe = (
+        f"import sys; from dyckframes.cli import main; code = main({argv!r}); "
+        "print(code, 'dyckframes.verify' in sys.modules)"
+    )
+    assert _fresh_python(probe) == f"0 {loaded}"
+
+
+def test_cli_serves_run_verification_from_verify_uncached():
+    import dyckframes.cli as cli
+    from dyckframes import verify
+
+    assert cli.run_verification is verify.run_verification
+    assert "run_verification" not in vars(cli)
+
+
+def test_cli_has_no_other_lazy_name():
+    import dyckframes.cli as cli
+
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        cli.no_such_name

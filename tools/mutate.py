@@ -643,6 +643,19 @@ MUTATIONS = (
         "",
         ("tests/test_cli.py::TestHarness::test_closed_pipe_on_stdout_is_pointed_at_devnull",),
     ),
+    Mutation(
+        "cli loads verify at import",
+        "from .errors import DyckFramesError, NotAdmissible, ResourceLimit, refuse_over\n",
+        "from .errors import DyckFramesError, NotAdmissible, ResourceLimit, refuse_over\n"
+        "from . import verify\n",
+        ("tests/test_values.py::test_cli_import_loads_neither_dataclasses_json_nor_verify",),
+    ),
+    Mutation(
+        "cli's __getattr__ serves nothing",
+        'if name == "run_verification":',
+        "if False:",
+        ("tests/test_values.py::test_cli_serves_run_verification_from_verify_uncached",),
+    ),
 )
 
 # Mutations that change no result, so no test can catch them; each is
