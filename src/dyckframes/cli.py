@@ -21,7 +21,14 @@ from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import counting, frames, paths
-from .errors import DyckFramesError, NotAdmissible, ResourceLimit, refuse_over
+from .errors import (
+    DyckFramesError,
+    NotAdmissible,
+    ResourceLimit,
+    parse_count,
+    parse_counts,
+    refuse_over,
+)
 
 FORMATS = ("table", "csv", "json")
 
@@ -164,7 +171,7 @@ def _colors(text: str | None, flag: str, size: int) -> tuple[int, ...]:
     """The color vector given with flag, or all ones when it is absent."""
     if text is None:
         return (1,) * size
-    return frames.parse_counts(text, "color count", flag)
+    return parse_counts(text, "color count", flag)
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -190,7 +197,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         r = 1
         if args.colors_h is not None:
             try:
-                r = frames.parse_count(args.colors_h, "color count", "--colors-h")
+                r = parse_count(args.colors_h, "color count", "--colors-h")
             except ValueError:
                 raise ValueError("k-motzkin takes a single horizontal color count") from None
             if r < 1:
@@ -397,7 +404,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             text = getattr(args, flag, None)
             if text is not None:
                 name = f"--{flag.replace('_', '-')}"
-                setattr(args, flag, frames.parse_count(text.removeprefix("-"), "size", name))
+                setattr(args, flag, parse_count(text.removeprefix("-"), "size", name))
                 if text.startswith("-"):
                     raise ValueError(f"{name} must be nonnegative")
         return handler(args)

@@ -15,15 +15,9 @@ from itertools import islice, zip_longest
 from operator import mul
 from typing import Iterator, Sequence
 
-from .errors import refuse_over, require_size
-from .frames import (
-    FRAME_ENUMERATION_CAP,
-    Frame,
-    ensure_frame,
-    enumerate_frames,
-    up_steps_per_level,
-)
-from .paths import Frozen
+from . import frames  # lazy (see __init__), read at call time: count never runs it
+from .errors import FRAME_ENUMERATION_CAP, refuse_over, require_size
+from .values import Frozen
 
 # Size caps the command line applies before a count starts.  The transfer
 # DP cap is in level-by-step cells, each charged the 64-bit words of the
@@ -34,8 +28,8 @@ TRANSFER_CELL_CAP = 2_000_000
 CATALAN_CAP = 30_000
 # The foot-table cap is in foot_table_terms, the packed DP entries of the
 # one level built: it admits feet-table --max up to 214 at any --level
-# (--max 214 --level 4: median of 21 runs 0.40 s, 31 MB peak RSS as a python
-# -m dyckframes subprocess, CPython 3.11.7 on a 2-vCPU Intel Xeon VM).
+# (--max 214 --level 4 as a subprocess: median of 21 runs 0.20 s, VmHWM
+# 35.4 MiB, CPython 3.11.7 on a 2-vCPU Intel Xeon VM).
 FOOT_TABLE_TERM_CAP = 20_000_000
 
 
@@ -127,7 +121,7 @@ def feet_table(max_half_length: int) -> FootTable:
     return FootTable(max_half_length)
 
 
-def frame_cardinality(frame: Frame | Sequence[int]) -> int:
+def frame_cardinality(frame: frames.Frame | Sequence[int]) -> int:
     """Exact number of Dyck paths whose frame is the given one.
 
     With v = up_steps_per_level(frame), each of the v(k-1) rises into
@@ -137,8 +131,8 @@ def frame_cardinality(frame: Frame | Sequence[int]) -> int:
     The product over the levels 0 < k < f is the class size; the tests
     check it against the census of enumerated paths.
     """
-    frame = ensure_frame(frame)
-    ups = up_steps_per_level(frame)
+    frame = frames.ensure_frame(frame)
+    ups = frames.up_steps_per_level(frame)
     pairs = zip(frame.counts[1:], ups[1:])
     return math.prod(math.comb(count - 1, up) for count, up in pairs)
 
@@ -300,14 +294,14 @@ def count_colored_motzkin(n: int, colors: ColorSpec) -> int:
     return _transfer_count(n, *_jacobi_weights(n, colors))
 
 
-def _frame_weight(frame: Frame, colors: ColorSpec) -> int:
+def _frame_weight(frame: frames.Frame, colors: ColorSpec) -> int:
     """Class size of the frame times its up and down color choices.
 
     Every path of a frame uses the same number v[k] of up steps per gap,
     so each contributes (u[k] * d[k]) ** v[k] choices across the gaps.
     """
     weight = frame_cardinality(frame)
-    for k, ups in enumerate(up_steps_per_level(frame)):
+    for k, ups in enumerate(frames.up_steps_per_level(frame)):
         weight *= (colors.u[k] * colors.d[k]) ** ups
     return weight
 
@@ -341,7 +335,7 @@ def count_by_frames(
         flat = n - 2 * j
         if flat and not any(colors.h[: levels + 1]):
             continue
-        for frame in enumerate_frames(j, cap=None):
+        for frame in frames.enumerate_frames(j, cap=None):
             series = [1] + [0] * flat
             for t, feet in enumerate(frame.counts):
                 for _ in range(feet if colors.h[t] else 0):

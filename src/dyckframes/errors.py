@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and its two argument guards:
-refuse_over for work over a size cap, require_size for every size argument."""
+"""Exception types shared across the package, its two argument guards
+(refuse_over for work over a size cap, require_size for every size
+argument), the readers of count text that every size flag goes through,
+and the frame enumeration cap, which frames and counting both apply."""
 
 
 class DyckFramesError(Exception):
@@ -18,6 +20,10 @@ class ResourceLimit(DyckFramesError):
     """Work over a size cap, refused by refuse_over before it starts."""
 
 
+# The half-length cap of frames.enumerate_frames and counting.count_by_frames.
+FRAME_ENUMERATION_CAP = 20
+
+
 def refuse_over(what: str, size: int, cap: int | None, unit: str) -> None:
     """Raise ResourceLimit when size exceeds cap; a cap of None admits any size.
 
@@ -34,6 +40,23 @@ def require_size(name: str, value: int) -> None:
     "<name> must be a nonnegative int"."""
     if type(value) is not int or value < 0:
         raise ValueError(f"{name} must be a nonnegative int")
+
+
+def parse_count(text: str, noun: str, where: str) -> int:
+    """Parse one nonnegative integer in ASCII digits, blanks around it ignored.
+
+    A sign, an underscore or a digit of another script, which int() takes,
+    is refused with a ValueError that names noun and where.
+    """
+    piece = text.strip()
+    if not (piece.isascii() and piece.isdigit()):
+        raise ValueError(f"bad {noun} {piece!r} in {where}")
+    return int(piece)
+
+
+def parse_counts(text: str, noun: str, where: str) -> tuple[int, ...]:
+    """Parse comma-separated numbers, each read by parse_count."""
+    return tuple(parse_count(piece, noun, where) for piece in text.split(","))
 
 
 class Underflow(DyckFramesError, ValueError):

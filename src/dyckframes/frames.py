@@ -16,10 +16,18 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .errors import NotAdmissible, NotDyck, NotLifted, Underflow, refuse_over, require_size
-from .paths import Frozen, Path, _trusted, unchecked
-
-FRAME_ENUMERATION_CAP = 20
+from .errors import (
+    FRAME_ENUMERATION_CAP,
+    NotAdmissible,
+    NotDyck,
+    NotLifted,
+    Underflow,
+    parse_counts,
+    refuse_over,
+    require_size,
+)
+from .paths import Path, _trusted
+from .values import Frozen, unchecked
 
 # A raw sequence is any finite tuple of nonnegative ints, trailing zeros
 # trimmed; admissibility is a property to be decided, not assumed.
@@ -194,23 +202,6 @@ class Frame(Frozen):
 
 NULL_FRAME = Frame((1,))
 _trusted_frame = unchecked(Frame)  # for trimmed, admissible counts
-
-
-def parse_count(text: str, noun: str, where: str) -> int:
-    """Parse one nonnegative integer in ASCII digits, blanks around it ignored.
-
-    A sign, an underscore or a digit of another script, which int() takes,
-    is refused with a ValueError that names noun and where.
-    """
-    piece = text.strip()
-    if not (piece.isascii() and piece.isdigit()):
-        raise ValueError(f"bad {noun} {piece!r} in {where}")
-    return int(piece)
-
-
-def parse_counts(text: str, noun: str, where: str) -> RawSequence:
-    """Parse comma-separated numbers, each read by parse_count."""
-    return tuple(parse_count(piece, noun, where) for piece in text.split(","))
 
 
 def parse_frame_text(text: str) -> RawSequence:

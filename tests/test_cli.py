@@ -608,11 +608,13 @@ class TestEnumerate:
 # that serves it: the module, the attribute, a wrapper of the original, and
 # the checks that fail at --max-n 3, the keyed check among them.
 ROUTE_FAULTS = {
-    # The frames of half-length 3 lose their first, (2, 2, 2, 1).
+    # The frames of half-length 3 lose their first, (2, 2, 2, 1); the frame
+    # sum reads enumerate_frames through frames too.
     "frame_count_power": (
         cli.frames, "enumerate_frames",
         lambda walk: lambda n, cap=None: itertools.islice(walk(n, cap=cap), int(n == 3), None),
-        {"frame_count_power", "frame_set_oracle", "cardinality_sum_catalan"},
+        {"frame_count_power", "frame_set_oracle", "cardinality_sum_catalan",
+         "colored_dyck_frame_sum"},
     ),
     # The census gives UDUDUD, alone in frame (4, 3), the null frame.
     "frame_set_oracle": (

@@ -4,12 +4,15 @@ and VerifyReport.
 Each keeps the behaviour of the frozen dataclass it replaced: fields
 cannot be assigned or deleted, repr, equality and hash are those of the
 field tuple, and pickle and copy round-trip through the constructor.
-The dataclass each one was is rebuilt here as the reference.
+The dataclass each one was is rebuilt here as the reference.  The
+package's public names, served lazily, and the modules each command
+runs are pinned here too.
 """
 
 from __future__ import annotations
 
 import copy
+import importlib
 import os
 import pickle
 import subprocess
@@ -19,6 +22,7 @@ from pathlib import Path as FilePath
 
 import pytest
 
+import dyckframes
 from dyckframes import ColorSpec, Frame, MalformedPath, NotAdmissible, Path
 from dyckframes.frames import _trusted_frame, trim
 from dyckframes.paths import _trusted
@@ -157,31 +161,54 @@ def _fresh_python(probe: str) -> str:
     return done.stdout.splitlines()[-1]
 
 
+# The package's modules whose code runs on importing dyckframes.cli, and
+# then on each command.  A lazy module (frames, paths) is in sys.modules
+# from the start as an instance of a subclass of ModuleType, and becomes a
+# plain module once its code has run, so the probe reads the exact type.
+SERVING = ["dyckframes", "dyckframes.cli", "dyckframes.counting", "dyckframes.errors",
+           "dyckframes.values"]
+EVERY_LAYER = sorted([*SERVING, "dyckframes.frames", "dyckframes.paths"])
+EXECUTED = {
+    "import": (None, SERVING),
+    "count": (["count", "motzkin", "--n", "7", "--colors-h", "1,2,1,2"], SERVING),
+    "frame": (["frame", "6,11,7,1"], EVERY_LAYER),
+    "enumerate": (["enumerate", "dyck", "--n", "3", "--with-frame"], EVERY_LAYER),
+    "enumerate-paths": (["enumerate", "motzkin", "--n", "3"],
+                        sorted([*SERVING, "dyckframes.paths"])),
+    "feet-table": (["feet-table", "--max", "3", "--level", "1"], SERVING),
+    "verify": (["verify", "--max-n", "1"], sorted([*EVERY_LAYER, "dyckframes.verify"])),
+}
+
+
+def _executed(argv: list[str] | None) -> list[str]:
+    """The package's modules whose code has run, in a fresh interpreter,
+    after importing dyckframes.cli and then, unless argv is None, running
+    main(argv), which must exit 0."""
+    run = "" if argv is None else f"assert main({argv!r}) == 0; "
+    probe = (
+        f"import sys, types; from dyckframes.cli import main; {run}"
+        "print(*sorted(name for name, module in sys.modules.items() "
+        "if name.partition('.')[0] == 'dyckframes' and type(module) is types.ModuleType))"
+    )
+    return _fresh_python(probe).split()
+
+
 def test_cli_import_loads_neither_dataclasses_json_nor_verify():
     probe = (
         "import sys; before = set(sys.modules); import dyckframes.cli; "
         "print(sorted({'dataclasses', 'json', 'dyckframes.verify'} & (set(sys.modules) - before)))"
     )
     assert _fresh_python(probe) == "[]"
+    assert _executed(None) == EXECUTED["import"][1]
 
 
-@pytest.mark.parametrize(
-    "argv, loaded",
-    [
-        (["count", "dyck", "--n", "3"], False),
-        (["frame", "6,11,7,1"], False),
-        (["enumerate", "dyck", "--n", "3"], False),
-        (["feet-table", "--max", "3"], False),
-        (["verify", "--max-n", "1"], True),
-    ],
-    ids=["count", "frame", "enumerate", "feet-table", "verify"],
-)
-def test_only_verify_loads_the_verify_module(argv, loaded):
-    probe = (
-        f"import sys; from dyckframes.cli import main; code = main({argv!r}); "
-        "print(code, 'dyckframes.verify' in sys.modules)"
-    )
-    assert _fresh_python(probe) == f"0 {loaded}"
+@pytest.mark.parametrize("command", [entry for entry in EXECUTED if entry != "import"])
+def test_only_verify_loads_the_verify_module(command):
+    """Each command runs the modules EXECUTED names for it and no other:
+    verify alone loads verify, count and feet-table run neither frames nor
+    paths, and enumerate runs frames only for the frame of a path."""
+    argv, layers = EXECUTED[command]
+    assert _executed(argv) == layers
 
 
 def test_cli_serves_run_verification_from_verify_uncached():
@@ -197,3 +224,43 @@ def test_cli_has_no_other_lazy_name():
 
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         cli.no_such_name
+
+
+# The package's public names and the module each comes from, as they were
+# when every layer was imported eagerly.
+PUBLIC = {
+    "counting": "ColorSpec FootTable binomial binomial_identity_check catalan count_colored_dyck "
+    "count_colored_motzkin count_k_motzkin count_motzkin feet_level0 feet_table "
+    "frame_cardinality weak_compositions",
+    "errors": "DyckFramesError MalformedPath NotAdmissible NotDyck NotLifted ResourceLimit "
+    "Underflow",
+    "frames": "FRAME_ENUMERATION_CAP Frame NULL_FRAME RawSequence canonical_representative "
+    "consequences_hold ensure_frame enumerate_frames extend_frame frame_length frame_of "
+    "glue_frames is_admissible_closed is_admissible_trace left_progenitor lift_frame "
+    "parse_frame_text right_progenitor trim unextend unlift up_steps_per_level",
+    "paths": "DYCK_ENUMERATION_CAP MOTZKIN_ENUMERATION_CAP NULL_PATH Path enumerate_dyck "
+    "enumerate_motzkin foot_count glue level_sequence lift parse_path",
+}
+HOME = {name: module for module, names in PUBLIC.items() for name in names.split()}
+
+
+class TestPublicNames:
+    def test_all_lists_the_same_names(self):
+        assert len(HOME) == 53
+        assert dyckframes.__all__ == sorted(HOME)
+        assert set(HOME) < set(dir(dyckframes))
+
+    def test_each_name_is_the_object_of_its_module(self):
+        for name, module in HOME.items():
+            home = importlib.import_module(f"dyckframes.{module}")
+            assert getattr(dyckframes, name) is getattr(home, name), name
+
+    def test_star_import_binds_every_name(self):
+        namespace: dict = {}
+        exec("from dyckframes import *", namespace)
+        del namespace["__builtins__"]
+        assert namespace == {name: getattr(dyckframes, name) for name in HOME}
+
+    def test_an_unknown_name_is_an_attribute_error_that_names_it(self):
+        with pytest.raises(AttributeError, match="'dyckframes' has no attribute 'no_such_name'"):
+            dyckframes.no_such_name

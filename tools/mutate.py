@@ -192,7 +192,7 @@ MUTATIONS = (
     ),
     Mutation(
         "a size flag is read with int",
-        'frames.parse_count(text.removeprefix("-"), "size", name)',
+        'parse_count(text.removeprefix("-"), "size", name)',
         'int(text.removeprefix("-"))',
         (SIZE_DIGITS,),
     ),
@@ -645,10 +645,21 @@ MUTATIONS = (
     ),
     Mutation(
         "cli loads verify at import",
-        "from .errors import DyckFramesError, NotAdmissible, ResourceLimit, refuse_over\n",
-        "from .errors import DyckFramesError, NotAdmissible, ResourceLimit, refuse_over\n"
-        "from . import verify\n",
+        "    parse_counts,\n    refuse_over,\n)\n",
+        "    parse_counts,\n    refuse_over,\n)\nfrom . import verify\n",
         ("tests/test_values.py::test_cli_import_loads_neither_dataclasses_json_nor_verify",),
+    ),
+    Mutation(
+        "counting imports from frames eagerly",
+        "from . import frames  #",
+        "from .frames import Frame\nfrom . import frames  #",
+        ("tests/test_values.py::test_only_verify_loads_the_verify_module",),
+    ),
+    Mutation(
+        "the package serves none of its public names",
+        "    if name in _HOME:\n",
+        "    if False:\n",
+        ("tests/test_values.py::TestPublicNames",),
     ),
     Mutation(
         "cli's __getattr__ serves nothing",
