@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 from itertools import count, islice
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import counting, frames, paths
@@ -232,10 +232,13 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    # Plain rows print the walker's words; only frame rows need Paths.
+    plain = args.frame is None and not args.with_frame
     if args.kind == "dyck":
         if args.k is not None:
             raise ValueError("--k only applies to kind motzkin")
-        walk = paths.enumerate_dyck(args.n, cap=_cap(args, paths.DYCK_ENUMERATION_CAP))
+        walker = paths._dyck_words if plain else paths.enumerate_dyck
+        walk = walker(args.n, cap=_cap(args, paths.DYCK_ENUMERATION_CAP))
     else:
         if args.frame is not None:
             raise ValueError("--frame filtering only applies to kind dyck")
@@ -243,7 +246,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             raise ValueError("--with-frame only applies to kind dyck")
         cap = _cap(args, paths.MOTZKIN_ENUMERATION_CAP)
         levels = {args.k} if args.k is not None else None
-        walk = paths.enumerate_motzkin(args.n, levels, cap=cap)
+        walk = paths._motzkin_words(args.n, levels, cap=cap)
 
     wanted = frames.parse_frame_text(args.frame) if args.frame is not None else None
     if wanted is None:
@@ -259,8 +262,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     else:
         walk, total = iter(()), 0
     rows: Iterable[tuple]
-    if wanted is None and not args.with_frame:
-        rows = zip(map(attrgetter("text"), walk))
+    if plain:
+        rows = zip(walk)
     else:  # one frame per path, checked against --frame and printed by --with-frame
         rows = (
             (p.text, *counts) if args.with_frame else (p.text,)

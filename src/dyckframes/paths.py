@@ -112,10 +112,9 @@ def enumerate_dyck(
     Paths come out in lexicographic order of their step strings with
     U sorting before D, so the first path is the single big mountain and
     the last is the sawtooth.  Pass cap=None to lift the size guard.
+    Each Path wraps a word of the walker's stream, _dyck_words.
     """
-    require_size("half_length", half_length)
-    refuse_over("Dyck enumeration", half_length, cap, "half-length")
-    return _paths(2 * half_length, frozenset())
+    return map(_trusted, _dyck_words(half_length, cap))
 
 
 def enumerate_motzkin(
@@ -127,8 +126,23 @@ def enumerate_motzkin(
 
     When horizontal_levels is given, horizontal steps may only occur at
     those levels; the empty set forbids them entirely, while None leaves
-    them unrestricted.  Order is lexicographic with U < D < H.
+    them unrestricted.  Order is lexicographic with U < D < H.  Each
+    Path wraps a word of the walker's stream, _motzkin_words.
     """
+    return map(_trusted, _motzkin_words(length, horizontal_levels, cap))
+
+
+def _dyck_words(half_length: int, cap: int | None) -> Iterator[str]:
+    """The step strings of enumerate_dyck, checked against the cap first."""
+    require_size("half_length", half_length)
+    refuse_over("Dyck enumeration", half_length, cap, "half-length")
+    return _paths(2 * half_length, frozenset())
+
+
+def _motzkin_words(
+    length: int, horizontal_levels: Iterable[int] | None, cap: int | None
+) -> Iterator[str]:
+    """The step strings of enumerate_motzkin, checked against the cap first."""
     require_size("length", length)
     refuse_over("Motzkin enumeration", length, cap, "length")
     allowed = None if horizontal_levels is None else frozenset(horizontal_levels)
@@ -139,8 +153,9 @@ def enumerate_motzkin(
 _TAIL_STEPS = 8
 
 
-def _paths(length: int, allowed: frozenset[int] | None) -> Iterator[Path]:
-    """Every path of the given length in U < D < H order.
+def _paths(length: int, allowed: frozenset[int] | None) -> Iterator[str]:
+    """The word (step string) of every path of the given length, in
+    U < D < H order.
 
     Flat steps may sit only at allowed levels, or anywhere when allowed
     is None.  moves[level], built once per call from _RISE, lists each
@@ -179,6 +194,6 @@ def _paths(length: int, allowed: frozenset[int] | None) -> Iterator[Path]:
         prefix, level = stack.pop()
         remaining = length - len(prefix)
         if remaining == tail:
-            yield from map(_trusted, [prefix + s for s in tails[level]])
+            yield from [prefix + s for s in tails[level]]
             continue
         stack += [(prefix + step, nxt) for step, nxt in reversed(moves[level]) if nxt < remaining]

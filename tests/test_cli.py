@@ -430,6 +430,31 @@ class TestEnumerate:
         run(capsys, "enumerate", "dyck", "--n", "6", "--with-frame", "--format", "csv")
         assert len(calls) == 132
 
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_paths_only_built_for_frame_rows(self, capsys, monkeypatch, fmt):
+        # Plain rows print the walker's words; --with-frame builds one Path a row.
+        walks = {
+            ("dyck", "--n", "6"): enumerate_dyck(6),
+            ("motzkin", "--n", "7"): paths_module.enumerate_motzkin(7),
+            ("motzkin", "--n", "7", "--k", "1"): paths_module.enumerate_motzkin(7, {1}),
+            ("dyck", "--n", "6", "--with-frame"): enumerate_dyck(6),
+        }
+        words = {argv: [p.text for p in walk] for argv, walk in walks.items()}
+        expected = {argv: run(capsys, "enumerate", *argv, "--format", fmt) for argv in walks}
+        built = []
+        original = paths_module._trusted
+        monkeypatch.setattr(paths_module, "_trusted", lambda w: built.append(w) or original(w))
+        for argv, walked in words.items():
+            built.clear()
+            code, out = run(capsys, "enumerate", *argv, "--format", fmt)
+            assert (code, out) == expected[argv] and code == 0
+            if fmt == "json":
+                rows = [r["path"] if "--with-frame" in argv else r for r in json.loads(out)["paths"]]
+            else:
+                rows = [line.replace(",", " ").split()[0] for line in out.splitlines()]
+            assert rows == walked
+            assert built == (walked if "--with-frame" in argv else [])
+
     def test_motzkin_with_level_restriction(self, capsys):
         code, out = run(capsys, "enumerate", "motzkin", "--n", "3", "--k", "0", "--format", "csv")
         assert code == 0

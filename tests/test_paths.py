@@ -249,7 +249,16 @@ class TestWalker:
         allowed = None if levels is None else frozenset(levels)
         for n in range(TAIL + 4):
             expected = [text for text in valid_texts(n) if flats_only_at(text, levels)]
-            assert [p.text for p in paths_module._paths(n, allowed)] == expected, n
+            assert list(paths_module._paths(n, allowed)) == expected, n
+
+    @pytest.mark.parametrize("levels", [None, (), {0}, {1}, {0, 2}])
+    def test_enumerators_wrap_the_words_in_paths(self, levels):
+        allowed = None if levels is None else frozenset(levels)
+        for n in range(TAIL + 4):
+            expected = [Path(word) for word in paths_module._paths(n, allowed)]
+            assert list(enumerate_motzkin(n, levels, cap=None)) == expected, n
+            if levels == () and n % 2 == 0:
+                assert list(enumerate_dyck(n // 2)) == expected, n
 
 def test_enumerated_paths_round_trip():
     for n in range(6):

@@ -49,6 +49,8 @@ VERIFY = "tests/test_cli.py::TestVerify"
 FACT_FAULTS = f"{VERIFY}::test_fact_checks_catch_a_fault"
 ROUTE_FAULTS = f"{VERIFY}::test_route_checks_use_the_second_route"
 WALKER = "tests/test_paths.py::TestWalker"
+WRAPPED = f"{WALKER}::test_enumerators_wrap_the_words_in_paths"
+PATHS_BUILT = f"{ENUMERATE_CLI}::test_paths_only_built_for_frame_rows"
 NOT_APPLICABLE = "tests/test_cli.py::TestHarness::test_flags_that_do_not_apply_are_usage_errors"
 SIZE_FLAGS = '("n", "k", "max", "level", "max_n")'  # the flags cli.main checks
 # The frame-class walker's two pushes; the last one pushed pops first.
@@ -298,6 +300,54 @@ MUTATIONS = (
         "for s in shorter(nxt, ())]",
         "for s in shorter(level, ())]",
         (WALKER,),
+    ),
+    Mutation(
+        "Motzkin word stream ignores horizontal_levels",
+        "allowed = None if horizontal_levels is None else frozenset(horizontal_levels)",
+        "allowed = None",
+        (WRAPPED,),
+    ),
+    Mutation(
+        "Dyck enumerator wraps the Motzkin word stream",
+        "map(_trusted, _dyck_words(half_length, cap))",
+        "map(_trusted, _motzkin_words(2 * half_length, None, cap))",
+        (WRAPPED,),
+    ),
+    Mutation(
+        "Motzkin enumerator wraps the unrestricted word stream",
+        "_motzkin_words(length, horizontal_levels, cap))",
+        "_motzkin_words(length, None, cap))",
+        (WRAPPED,),
+    ),
+    Mutation(
+        "plain enumerate rows drop the first word",
+        "rows = zip(walk)",
+        "rows = zip(islice(walk, 1, None))",
+        (PATHS_BUILT,),
+    ),
+    Mutation(
+        "plain enumerate rows repeat the first word",
+        "rows = zip(walk)",
+        "rows = ((w,) for i, w in enumerate(walk) for _ in range(1 + (i == 0)))",
+        (PATHS_BUILT,),
+    ),
+    Mutation(
+        "plain enumerate dyck rows build Paths",
+        "walker = paths._dyck_words if plain else paths.enumerate_dyck",
+        "walker = paths.enumerate_dyck",
+        (PATHS_BUILT,),
+    ),
+    Mutation(
+        "enumerate --with-frame rows walk the words",
+        "walker = paths._dyck_words if plain else paths.enumerate_dyck",
+        "walker = paths._dyck_words",
+        (PATHS_BUILT,),
+    ),
+    Mutation(
+        "enumerate motzkin rows build Paths",
+        "walk = paths._motzkin_words(args.n, levels, cap=cap)",
+        "walk = paths.enumerate_motzkin(args.n, levels, cap=cap)",
+        (PATHS_BUILT,),
     ),
     Mutation(
         "frame_of counts a newly reached level from 0",
