@@ -311,7 +311,7 @@ def __getattr__(name: str):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # Read from verify at each call, so a rebinding there (bench/tracing.py) runs.
+    # Per call: verify loads only for this command, and a rebinding of run_verification is read.
     from .verify import run_verification
 
     report = run_verification(args.max_n, _cap(args, paths.DYCK_ENUMERATION_CAP))

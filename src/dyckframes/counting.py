@@ -1,10 +1,10 @@
 """Exact counting: foot tables, frame cardinalities, and path counts.
 
 Everything returns plain Python integers, so results stay exact at any
-magnitude.  Path counts are served by a transfer DP over levels; the
-paper's sums over frames and over foot tables stay here as the second
-route, and the enumerators in the paths module are the brute-force
-route the tests compare both against.
+magnitude.  Path counts are served by a transfer DP over levels.  The
+paper's sums over frames and over foot tables, the second route, live
+in the verify module, and the enumerators in the paths module are the
+brute-force route; the tests and verify compare the DP against both.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from . import frames  # lazy (see __init__), read at call time: count never runs it
-from .errors import FRAME_ENUMERATION_CAP, refuse_over, require_size
+from .errors import require_size
 from .values import Frozen
 
 # Size caps the command line applies before a count starts.  The transfer
@@ -237,8 +237,8 @@ def count_colored_dyck(n: int, colors: ColorSpec) -> int:
 
     A rise across gap k and the fall that closes it contribute
     u[k] * d[k] choices.  Horizontal colors are ignored.  All-ones colors
-    reduce this to the Catalan number; count_by_frames is the second
-    route.
+    reduce this to the Catalan number; verify.count_by_frames is the
+    second route.
     """
     require_size("n", n)
     return count_colored_motzkin(2 * n, ColorSpec((0,) * (n + 1), colors.u, colors.d))
@@ -269,7 +269,7 @@ def count_k_motzkin(n: int, k: int, r: int = 1) -> int:
 
     Each horizontal step has r colors.  A level k above n // 2 admits no
     horizontal step, which leaves the Dyck paths of length n.
-    count_k_motzkin_by_feet is the second route.
+    verify.count_k_motzkin_by_feet is the second route.
     """
     _require_r(r)
     return count_colored_motzkin(n, k_motzkin_colors(n, k, r))
@@ -288,85 +288,10 @@ def count_colored_motzkin(n: int, colors: ColorSpec) -> int:
     A horizontal step at level k has h[k] colors, and a rise across gap
     k with the fall that closes it has u[k] * d[k]; zero colors forbid
     the step.  Every path count here is this one on its own ColorSpec;
-    count_by_frames is the second route.
+    verify.count_by_frames is the second route.
     """
     require_size("n", n)
     return _transfer_count(n, *_jacobi_weights(n, colors))
-
-
-def _frame_weight(frame: frames.Frame, colors: ColorSpec) -> int:
-    """Class size of the frame times its up and down color choices.
-
-    Every path of a frame uses the same number v[k] of up steps per gap,
-    so each contributes (u[k] * d[k]) ** v[k] choices across the gaps.
-    """
-    weight = frame_cardinality(frame)
-    for k, ups in enumerate(frames.up_steps_per_level(frame)):
-        weight *= (colors.u[k] * colors.d[k]) ** ups
-    return weight
-
-
-def count_by_frames(
-    n: int, colors: ColorSpec, cap: int | None = FRAME_ENUMERATION_CAP
-) -> int:
-    """Colored Motzkin paths of length n, summed over frames.
-
-    The paper's route, kept as the oracle for the transfer DP.  Sums
-    over the frame (c0, ..., cf) of the underlying Dyck path of length
-    2j: the class size, the up/down color choices per gap, and the ways
-    to place the n - 2j horizontal steps on its feet, h[t] colors each.
-    Spreading k steps over the ct feet at level t gives
-    binomial(k + ct - 1, k) * h[t] ** k, so the placements are the
-    coefficient of x ** (n - 2j) in the product over t of
-    (1 - h[t] x) ** -ct; binomial_identity_check tests the composition
-    identity behind this.  Each foot at a colored level multiplies the
-    series by 1 / (1 - h[t] x), one prefix-sum pass.  With h all zero
-    only the frames of length n contribute, so this also counts colored
-    Dyck paths of length n.  Color vectors too short for n raise
-    ValueError, as in the DP, and frames of half-length above cap raise
-    ResourceLimit, both before any frame is enumerated.
-    """
-    require_size("n", n)
-    _jacobi_weights(n, colors)  # the DP's rule for the vector lengths
-    levels = n // 2
-    refuse_over("frame sum", levels, cap, "half-length")
-    total = 0
-    for j in range(levels + 1):
-        flat = n - 2 * j
-        if flat and not any(colors.h[: levels + 1]):
-            continue
-        for frame in frames.enumerate_frames(j, cap=None):
-            series = [1] + [0] * flat
-            for t, feet in enumerate(frame.counts):
-                for _ in range(feet if colors.h[t] else 0):
-                    for k in range(1, flat + 1):
-                        series[k] += colors.h[t] * series[k - 1]
-            total += _frame_weight(frame, colors) * series[flat]
-    return total
-
-
-def count_k_motzkin_by_feet(n: int, k: int, r: int = 1) -> int:
-    """Level-k Motzkin paths of length n from the foot table.
-
-    The oracle for count_k_motzkin.  Such a path is a Dyck path of
-    length 2j plus n - 2j horizontal steps distributed over its feet at
-    level k, giving a binomial factor per foot census entry; r colors
-    per horizontal step contribute r ** (n - 2j).  The 0-footed census
-    entry still counts the bare Dyck paths when n == 2j, via
-    binomial(-1, 0) == 1.
-    """
-    require_size("n", n)
-    require_size("k", k)
-    _require_r(r)
-    half = n // 2
-    table = feet_table(half)
-    total = 0
-    for j in range(half + 1):
-        flat = n - 2 * j
-        for i, paths_ji in enumerate(table.row(j, k)):
-            if paths_ji:
-                total += paths_ji * binomial(flat + i - 1, flat) * r**flat
-    return total
 
 
 def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -1,7 +1,7 @@
 """Exception types shared across the package, its two argument guards
 (refuse_over for work over a size cap, require_size for every size
-argument), the readers of count text that every size flag goes through,
-and the frame enumeration cap, which frames and counting both apply."""
+argument), and the readers of count text that every size flag goes
+through."""
 
 
 class DyckFramesError(Exception):
@@ -18,10 +18,6 @@ class NotDyck(DyckFramesError, ValueError):
 
 class ResourceLimit(DyckFramesError):
     """Work over a size cap, refused by refuse_over before it starts."""
-
-
-# The half-length cap of frames.enumerate_frames and counting.count_by_frames.
-FRAME_ENUMERATION_CAP = 20
 
 
 def refuse_over(what: str, size: int, cap: int | None, unit: str) -> None:

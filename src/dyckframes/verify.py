@@ -1,6 +1,9 @@
 """Self-verification: every closed formula against brute-force enumeration
-or the paper's second route.  The other modules are reached through their
-module objects, so a fault planted in one of them shows up in the checks.
+or the paper's second route.  The second routes live here: the weighted
+sum over frames and the sum over the foot table, each an oracle for the
+transfer DP that counting serves the counts with.  The other modules are
+reached through their module objects, so a fault planted in one of them
+shows up in the checks.
 """
 
 from __future__ import annotations
@@ -93,6 +96,70 @@ def _positive_vectors(max_sum: int):
                 yield tuple(value + 1 for value in spare)
 
 
+def count_by_frames(n: int, colors: counting.ColorSpec) -> int:
+    """Colored Motzkin paths of length n, summed over frames.
+
+    The paper's route, kept as the oracle for the transfer DP.  Sums
+    over the frame (c0, ..., cf) of the underlying Dyck path of length
+    2j: the class size, the up/down color choices per gap, and the ways
+    to place the n - 2j horizontal steps on its feet, h[t] colors each.
+    Every path of a frame uses the same number v[k] of up steps per gap,
+    so each contributes (u[k] * d[k]) ** v[k] color choices.  Spreading
+    k steps over the ct feet at level t gives
+    binomial(k + ct - 1, k) * h[t] ** k, so the placements are the
+    coefficient of x ** (n - 2j) in the product over t of
+    (1 - h[t] x) ** -ct; binomial_identity_check tests the composition
+    identity behind this.  Each foot at a colored level multiplies the
+    series by 1 / (1 - h[t] x), one prefix-sum pass.  With h all zero
+    only the frames of length n contribute, so this also counts colored
+    Dyck paths of length n.  Color vectors too short for n raise
+    ValueError, as in the DP, before any frame is enumerated.
+    """
+    require_size("n", n)
+    counting._jacobi_weights(n, colors)  # the DP's rule for the vector lengths
+    levels = n // 2
+    total = 0
+    for j in range(levels + 1):
+        flat = n - 2 * j
+        if flat and not any(colors.h[: levels + 1]):
+            continue
+        for frame in frames.enumerate_frames(j, cap=None):
+            series = [1] + [0] * flat
+            for t, feet in enumerate(frame.counts):
+                for _ in range(feet if colors.h[t] else 0):
+                    for k in range(1, flat + 1):
+                        series[k] += colors.h[t] * series[k - 1]
+            weight = counting.frame_cardinality(frame)
+            for k, ups in enumerate(frames.up_steps_per_level(frame)):
+                weight *= (colors.u[k] * colors.d[k]) ** ups
+            total += weight * series[flat]
+    return total
+
+
+def count_k_motzkin_by_feet(n: int, k: int, r: int = 1) -> int:
+    """Level-k Motzkin paths of length n from the foot table.
+
+    The oracle for count_k_motzkin.  Such a path is a Dyck path of
+    length 2j plus n - 2j horizontal steps distributed over its feet at
+    level k, giving a binomial factor per foot census entry; r colors
+    per horizontal step contribute r ** (n - 2j).  The 0-footed census
+    entry still counts the bare Dyck paths when n == 2j, via
+    binomial(-1, 0) == 1.
+    """
+    require_size("n", n)
+    require_size("k", k)
+    counting._require_r(r)
+    half = n // 2
+    table = counting.feet_table(half)
+    total = 0
+    for j in range(half + 1):
+        flat = n - 2 * j
+        for i, paths_ji in enumerate(table.row(j, k)):
+            if paths_ji:
+                total += paths_ji * counting.binomial(flat + i - 1, flat) * r**flat
+    return total
+
+
 def run_verification(max_n: int, cap: int | None = paths.DYCK_ENUMERATION_CAP) -> VerifyReport:
     """Cross-check the closed formulas against brute-force enumeration.
 
@@ -176,17 +243,13 @@ def run_verification(max_n: int, cap: int | None = paths.DYCK_ENUMERATION_CAP) -
     )
     no_flats = counting.ColorSpec(h=(0,) * (max_n + 1), u=spec.u, d=spec.d)
     pairs = (
-        (counting.count_colored_dyck(n, spec), counting.count_by_frames(2 * n, no_flats, cap=None))
-        for n in to_max
+        (counting.count_colored_dyck(n, spec), count_by_frames(2 * n, no_flats)) for n in to_max
     )
     differ("colored_dyck_frame_sum", up_to, pairs)
-    pairs = (
-        (counting.count_colored_motzkin(n, spec), counting.count_by_frames(n, spec, cap=None))
-        for n in to_max
-    )
+    pairs = ((counting.count_colored_motzkin(n, spec), count_by_frames(n, spec)) for n in to_max)
     differ("colored_motzkin_frame_sum", up_to, pairs)
     pairs = (
-        (counting.count_k_motzkin(n, k, 2), counting.count_k_motzkin_by_feet(n, k, 2))
+        (counting.count_k_motzkin(n, k, 2), count_k_motzkin_by_feet(n, k, 2))
         for n in to_max
         for k in range(top_k + 1)
     )

@@ -6,14 +6,10 @@ from __future__ import annotations
 
 import pytest
 
-from dyckframes import ColorSpec, ResourceLimit, catalan, count_motzkin
+from dyckframes import ResourceLimit, catalan, count_motzkin
 from dyckframes import counting, frames, paths, verify
 
 CAP = 3
-
-
-def _ones(levels: int) -> ColorSpec:
-    return ColorSpec((1,) * (levels + 1), (1,) * levels, (1,) * levels)
 
 
 # Each entry runs the function at a size under a cap, and gives the
@@ -30,10 +26,6 @@ CAPPED = {
     "enumerate_frames": (
         lambda size, cap: sum(1 for _ in frames.enumerate_frames(size, cap=cap)),
         lambda size: 2 ** (size - 1),
-    ),
-    "count_by_frames": (
-        lambda size, cap: counting.count_by_frames(2 * size, _ones(size), cap=cap),
-        lambda size: count_motzkin(2 * size),
     ),
     "run_verification": (
         lambda size, cap: verify.run_verification(size, cap=cap).ok,

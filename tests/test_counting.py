@@ -16,10 +16,8 @@ from collections import Counter
 import pytest
 
 from dyckframes import (
-    FRAME_ENUMERATION_CAP,
     ColorSpec,
     NotAdmissible,
-    ResourceLimit,
     binomial,
     binomial_identity_check,
     catalan,
@@ -44,11 +42,10 @@ from dyckframes.counting import (
     _spread,
     _transfer_count,
     _transfer_walk,
-    count_by_frames,
-    count_k_motzkin_by_feet,
     transfer_cells,
     transfer_charge,
 )
+from dyckframes.verify import count_by_frames, count_k_motzkin_by_feet
 
 # the reference triangle: rows 0..12 steps, columns 1-ped..6-ped
 LEVEL0_TRIANGLE = [
@@ -526,12 +523,6 @@ class TestFrameSum:
         for n in range(7, 13):
             assert count_by_frames(2 * n, no_flats) == count_colored_dyck(n, spec), n
         assert time.perf_counter() - start < 2.0
-
-    def test_cap_checked_before_any_frame(self):
-        n = 2 * (FRAME_ENUMERATION_CAP + 1)
-        spec = ColorSpec(h=(1,) * (n // 2 + 1), u=(1,) * n, d=(1,) * n)
-        with pytest.raises(ResourceLimit):
-            count_by_frames(n, spec)
 
 
 class TestWeakCompositions:

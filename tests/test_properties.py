@@ -30,7 +30,7 @@ from dyckframes import (
     unextend,
     unlift,
 )
-from dyckframes.counting import count_by_frames
+from dyckframes.verify import count_by_frames
 from dyckframes.frames import frame_class
 from dyckframes.paths import _walk
 

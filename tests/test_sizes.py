@@ -19,11 +19,9 @@ from dyckframes.counting import (
     FootTable,
     binomial_identity_check,
     catalan,
-    count_by_frames,
     count_colored_dyck,
     count_colored_motzkin,
     count_k_motzkin,
-    count_k_motzkin_by_feet,
     count_motzkin,
     k_motzkin_colors,
     weak_compositions,
@@ -35,7 +33,7 @@ from dyckframes.frames import (
     is_admissible_trace,
 )
 from dyckframes.paths import NULL_PATH, enumerate_dyck, enumerate_motzkin, foot_count
-from dyckframes.verify import run_verification
+from dyckframes.verify import count_by_frames, count_k_motzkin_by_feet, run_verification
 
 SRC = Path(__file__).parent.parent / "src" / "dyckframes"
 SPEC = ColorSpec((1,) * 5, (1,) * 4, (1,) * 4)

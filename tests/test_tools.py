@@ -1,11 +1,12 @@
 """The repository's tools: the mutation list is not stale, every test id
-the tools name is a test that exists, and the reach report's statement
+the tools name is a test that exists, the reach report's statement
 finder keeps its rules and its reasons name statements that still
-exist."""
+exist, and every name the traced bench wraps is where it looks."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import importlib.util
 from collections import Counter
 from pathlib import Path
@@ -14,8 +15,8 @@ ROOT = Path(__file__).resolve().parent.parent
 TOOLS = ROOT / "tools"
 
 
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(f"tools_{name}", TOOLS / f"{name}.py")
+def _load(name: str, folder: Path = TOOLS):
+    spec = importlib.util.spec_from_file_location(f"{folder.name}_{name}", folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -121,3 +122,20 @@ class TestReachStatements:
         )
         for key, (expected, _) in reach.REASONS.items():
             assert found[key] >= expected, key
+
+
+class TestTracedNames:
+    # Tracer.install reads each traced name with a bare getattr, so a name
+    # moved out of its layer would stop a --trace 1 run partway through.
+    def test_every_traced_name_resolves_at_its_layer(self):
+        tracing = _load("tracing", ROOT / "bench")
+        missing = []
+        for layer, qualnames in tracing.TRACED.items():
+            home = importlib.import_module(f"dyckframes.{layer}")
+            for qualname in qualnames:
+                owner = home
+                for attr in qualname.split("."):
+                    owner = getattr(owner, attr, None)
+                if not callable(owner):
+                    missing.append(f"{layer}.{qualname}")
+        assert missing == []

@@ -121,6 +121,12 @@ MUTATIONS = (
         ("tests/test_counting.py::TestFrameSum",),
     ),
     Mutation(
+        "frame-sum colour weight drops the down factor",
+        "weight *= (colors.u[k] * colors.d[k]) ** ups",
+        "weight *= colors.u[k] ** ups",
+        ("tests/test_counting.py::TestFrameSum",),
+    ),
+    Mutation(
         "transfer DP falls from two levels up",
         "fall = islice(row, 1, None)",
         "fall = islice(row, 2, None)",
@@ -653,19 +659,19 @@ MUTATIONS = (
     ),
     Mutation(
         "colored Dyck frame sum compares the DP with itself",
-        "counting.count_by_frames(2 * n, no_flats, cap=None)",
+        "count_by_frames(2 * n, no_flats)",
         "counting.count_colored_dyck(n, spec)",
         (ROUTE_FAULTS,),
     ),
     Mutation(
         "colored Motzkin frame sum compares the DP with itself",
-        "counting.count_by_frames(n, spec, cap=None)",
+        "count_by_frames(n, spec)",
         "counting.count_colored_motzkin(n, spec)",
         (ROUTE_FAULTS,),
     ),
     Mutation(
         "k-Motzkin foot table compares the DP with itself",
-        "counting.count_k_motzkin_by_feet(n, k, 2)",
+        "count_k_motzkin_by_feet(n, k, 2)",
         "counting.count_k_motzkin(n, k, 2)",
         (ROUTE_FAULTS,),
     ),
