@@ -110,15 +110,13 @@ class FootTable:
         return row[feet] if feet < len(row) else 0
 
 
-def feet_level0(max_half_length: int) -> FootTable:
-    """Level-0 foot counts for every length up to 2 * max_half_length:
-    the same table as feet_table, read at level 0."""
-    return FootTable(max_half_length)
-
-
 def feet_table(max_half_length: int) -> FootTable:
-    """Foot counts at every level for lengths up to 2 * max_half_length."""
+    """Foot counts at every level for lengths up to 2 * max_half_length.
+    feet_level0 is this same function, for the table read at level 0."""
     return FootTable(max_half_length)
+
+
+feet_level0 = feet_table
 
 
 def frame_cardinality(frame: frames.Frame | Sequence[int]) -> int:
@@ -163,11 +161,6 @@ class ColorSpec(Frozen):
         self._freeze(*vecs)
 
 
-def _require_entries(vec: tuple[int, ...], size: int, name: str) -> None:
-    if len(vec) < size:
-        raise ValueError(f"{name} needs at least {size} entries, got {len(vec)}")
-
-
 def transfer_cells(steps: int) -> int:
     """Cells the transfer DP visits for paths of the given length, at most."""
     return steps * (steps // 2 + 1)
@@ -191,11 +184,6 @@ def foot_table_terms(max_half_length: int) -> int:
     over 2 * max_half_length steps, whose cells each hold
     max_half_length + 2 packed entries."""
     return transfer_cells(2 * max_half_length) * (max_half_length + 2)
-
-
-def _transfer_count(steps: int, h: Sequence[int], w: Sequence[int]) -> int:
-    """Weighted paths of the given length from level 0 back to level 0."""
-    return deque(_transfer_walk(steps, h, w), maxlen=1)[0]
 
 
 def _transfer_walk(steps: int, h: Sequence[int], w: Sequence[int]) -> Iterator[int]:
@@ -226,9 +214,13 @@ def _jacobi_weights(n: int, colors: ColorSpec) -> tuple[tuple[int, ...], list[in
     """The weights the transfer DP reads for paths of length n: h[k] for
     the levels up to n // 2 and u[k] * d[k] for the gaps below it."""
     levels = n // 2
-    _require_entries(colors.h, levels + 1, "colors.h")
-    _require_entries(colors.u, levels, "colors.u")
-    _require_entries(colors.d, levels, "colors.d")
+    for name, vec, size in (
+        ("h", colors.h, levels + 1),
+        ("u", colors.u, levels),
+        ("d", colors.d, levels),
+    ):
+        if len(vec) < size:
+            raise ValueError(f"colors.{name} needs at least {size} entries, got {len(vec)}")
     return colors.h[: levels + 1], list(map(mul, colors.u[:levels], colors.d[:levels]))
 
 
@@ -291,7 +283,7 @@ def count_colored_motzkin(n: int, colors: ColorSpec) -> int:
     verify.count_by_frames is the second route.
     """
     require_size("n", n)
-    return _transfer_count(n, *_jacobi_weights(n, colors))
+    return deque(_transfer_walk(n, *_jacobi_weights(n, colors)), maxlen=1)[0]
 
 
 def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

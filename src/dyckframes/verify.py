@@ -15,9 +15,10 @@ from typing import Iterator
 
 from . import counting, frames, paths
 from .errors import refuse_over, require_size
+from .values import Frozen
 
 
-class VerifyCheck(paths.Frozen):
+class VerifyCheck(Frozen):
     __slots__ = ("name", "params", "expected", "actual")
     name: str
     params: str
@@ -32,7 +33,7 @@ class VerifyCheck(paths.Frozen):
         return self.expected == self.actual
 
 
-class VerifyReport(paths.Frozen):
+class VerifyReport(Frozen):
     __slots__ = ("max_n", "checks")
     max_n: int
     checks: tuple[VerifyCheck, ...]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import io
 import itertools
 import json
@@ -1158,3 +1159,59 @@ def test_fuzzed_argv_exits_cleanly(argv):
     assert code in (0, 1, 2, 3)
     if code == 0 and argv[argv.index("--format") + 1] == "json":
         json.loads(out.getvalue())
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """bench/reference.py, loaded by path and pinned to its OEIS prefixes;
+    it never imports dyckframes, so it is an independent model."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.self_check()
+    return module
+
+
+@st.composite
+def modelled_argv(draw) -> tuple[list[str], str, tuple]:
+    """A count or feet-table argv small enough for the reference, with the
+    reference function and arguments that give its csv value."""
+    kind = draw(st.sampled_from(["dyck", "motzkin", "k-motzkin", "feet-table"]))
+    if kind == "feet-table":
+        top, level = draw(st.integers(0, 8)), draw(st.integers(0, 5))
+        return ["feet-table", "--max", str(top), "--level", str(level)], "feet_table_csv", (top, level)
+    n = draw(st.integers(0, 9))
+    argv = ["count", kind, "--n", str(n)]
+    if kind == "k-motzkin":
+        k, r = draw(st.integers(0, 5)), draw(st.integers(1, 4))
+        argv += ["--k", str(k)]
+        if r != 1 or draw(st.booleans()):
+            argv += ["--colors-h", str(r)]
+        return argv, "count_k_motzkin", (n, k, r)
+    levels = n if kind == "dyck" else n // 2
+    vecs = []
+    for key in "hud" if kind == "motzkin" else "ud":
+        size = levels + (key == "h")
+        vec = [1] * size  # a flag left out is all ones
+        if draw(st.booleans()):
+            vec = draw(st.lists(st.integers(0, 3), min_size=max(size, 1), max_size=size + 2))
+            argv += [f"--colors-{key}", _entries(vec)]
+        vecs.append(vec)
+    if kind == "motzkin":
+        return argv, "count_motzkin", (n, *vecs)
+    return (argv, "count_dyck", (n, *vecs)) if len(argv) > 4 else (argv, "catalan", (n,))
+
+
+@given(modelled_argv())
+@settings(max_examples=200, deadline=None)
+def test_counts_match_the_reference(reference, case):
+    # The reference's own DP and foot rows model the csv stdout byte for
+    # byte; test_fuzzed_argv_exits_cleanly checks only the exit code.
+    argv, name, args = case
+    expected = getattr(reference, name)(*args)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([*argv, "--format", "csv"])
+    assert (code, err.getvalue()) == (0, "")
+    assert out.getvalue() == (expected if name == "feet_table_csv" else f"{expected}\n")

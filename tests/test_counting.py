@@ -40,7 +40,6 @@ from dyckframes.counting import (
     _SPREAD_BATCH,
     FootTable,
     _spread,
-    _transfer_count,
     _transfer_walk,
     transfer_cells,
     transfer_charge,
@@ -258,7 +257,6 @@ class TestFeetTable:
         ones = (1,) * 11
         walked = list(_transfer_walk(20, ones, ones))
         assert walked == [count_motzkin(steps) for steps in range(21)]
-        assert _transfer_count(20, ones, ones) == walked[-1]
 
     def test_negative_arguments_rejected(self):
         table = feet_table(1)
@@ -456,6 +454,21 @@ class TestColoredMotzkin:
     def test_short_vectors_rejected(self):
         with pytest.raises(ValueError):
             count_colored_motzkin(4, ColorSpec(h=(1, 1), u=(1, 1), d=(1, 1)))
+
+    @pytest.mark.parametrize(
+        "short, message",
+        [
+            ({"h": (1, 1)}, "colors.h needs at least 3 entries, got 2"),
+            ({"u": (1,)}, "colors.u needs at least 2 entries, got 1"),
+            ({"d": (1,)}, "colors.d needs at least 2 entries, got 1"),
+        ],
+        ids=["h", "u", "d"],
+    )
+    def test_each_short_vector_is_named(self, short, message):
+        spec = ColorSpec(**{"h": (1, 1, 1), "u": (1, 1), "d": (1, 1), **short})
+        with pytest.raises(ValueError) as caught:
+            count_colored_motzkin(4, spec)
+        assert str(caught.value) == message
 
     def test_negative_and_non_int_lengths_rejected(self):
         spec = self.ones_spec(4)

@@ -218,6 +218,12 @@ MUTATIONS = (
          "tests/test_counting.py::TestTransferCharge"),
     ),
     Mutation(
+        "color length check skips the down colors",
+        '        ("d", colors.d, levels),\n',
+        "",
+        ("tests/test_counting.py::TestColoredMotzkin::test_each_short_vector_is_named",),
+    ),
+    Mutation(
         "count builds the color vectors with no cell bound first",
         '    refuse_over(what, counting.transfer_cells(steps), cap, "DP cell words")\n',
         "",
@@ -539,6 +545,12 @@ MUTATIONS = (
         (f"{FEET}::test_rebuilds_on_larger_query",),
     ),
     Mutation(
+        "colored count dyck lets flat steps in",
+        "        h = (0,) * (levels + 1)\n        if args.kind",
+        "        h = (1,) * (levels + 1)\n        if args.kind",
+        ("tests/test_cli.py::test_counts_match_the_reference",),
+    ),
+    Mutation(
         "count dyck takes horizontal colors",
         '        if args.colors_h is not None:\n'
         '            raise ValueError("horizontal colors do not apply to kind dyck")\n',
@@ -771,7 +783,7 @@ def main() -> int:
         return 2
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         workdir = Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "bench"):  # the tests read bench/reference.py
             shutil.copytree(ROOT / part, workdir / part, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", workdir)
         baseline = tuple(dict.fromkeys(t for m in MUTATIONS for t in m.tests))
