@@ -16,8 +16,7 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from . import frames  # lazy (see __init__), read at call time: count never runs it
-from .errors import require_size
-from .values import Frozen
+from .errors import Frozen, require_size
 
 # Size caps the command line applies before a count starts.  The transfer
 # DP cap is in level-by-step cells, each charged the 64-bit words of the

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
+    Frozen,
     NotAdmissible,
     NotDyck,
     NotLifted,
@@ -24,9 +25,9 @@ from .errors import (
     parse_counts,
     refuse_over,
     require_size,
+    unchecked,
 )
 from .paths import Path, _trusted
-from .values import Frozen, unchecked
 
 # A raw sequence is any finite tuple of nonnegative ints, trailing zeros
 # trimmed; admissibility is a property to be decided, not assumed.
@@ -182,10 +183,7 @@ class Frame(Frozen):
         """Index of the highest level that has any feet."""
         return len(self.counts) - 1
 
-    @property
-    def length(self) -> int:
-        """Length of every path belonging to the frame; always even."""
-        return sum(self.counts) - 1
+    length = property(frame_length)  # of every path in the class; always even
 
     def foot_count(self, level: int) -> int:
         require_size("level", level)

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import MalformedPath, refuse_over, require_size
-from .values import Frozen, unchecked
+from .errors import Frozen, MalformedPath, refuse_over, require_size, unchecked
 
 DYCK_ENUMERATION_CAP = 16
 MOTZKIN_ENUMERATION_CAP = 14
@@ -70,22 +69,19 @@ class Path(Frozen):
         return "H" not in self.text
 
     def levels(self) -> tuple[int, ...]:
-        """Level of every lattice node the path visits; length is len + 1."""
+        """The level of each lattice node, in order, starting and ending at
+        0; len(path) + 1 of them.  level_sequence(path) is the same function."""
         return (0, *_walk(self.text))
 
 
 NULL_PATH = Path()
 _trusted = unchecked(Path)
+level_sequence = Path.levels
 
 
 def parse_path(text: str) -> Path:
     """Parse a string of U/D/H characters into a validated Path."""
     return Path(text)
-
-
-def level_sequence(path: Path) -> tuple[int, ...]:
-    """The level of each lattice node, in order, starting and ending at 0."""
-    return path.levels()
 
 
 def foot_count(path: Path, level: int) -> int:

@@ -14,8 +14,7 @@ from operator import ne
 from typing import Iterator
 
 from . import counting, frames, paths
-from .errors import refuse_over, require_size
-from .values import Frozen
+from .errors import Frozen, refuse_over, require_size
 
 
 class VerifyCheck(Frozen):

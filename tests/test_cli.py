@@ -630,9 +630,18 @@ class TestEnumerate:
         assert "Traceback" not in err
 
 
+def _plus_one(count):
+    return lambda *a, **kw: count(*a, **kw) + 1
+
+
+def _negated(fact):
+    return lambda *a: not fact(*a)
+
+
 # A fault in one route of each verify check, planted through the module
 # that serves it: the module, the attribute, a wrapper of the original, and
-# the checks that fail at --max-n 3, the keyed check among them.
+# the checks that fail at --max-n 3, the keyed check among them.  The
+# paper's routes live in verify, the served counts in counting.
 ROUTE_FAULTS = {
     # The frames of half-length 3 lose their first, (2, 2, 2, 1); the frame
     # sum reads enumerate_frames through frames too.
@@ -678,6 +687,38 @@ ROUTE_FAULTS = {
         ),
         {"k_motzkin_oracle"},
     ),
+    "colored_motzkin_frame_sum": (
+        verify_module, "count_by_frames", _plus_one,
+        {"colored_dyck_frame_sum", "colored_motzkin_frame_sum"},
+    ),
+    "k_motzkin_foot_table": (
+        verify_module, "count_k_motzkin_by_feet", _plus_one, {"k_motzkin_foot_table"},
+    ),
+    "motzkin_oracle": (cli.counting, "count_motzkin", _plus_one, {"motzkin_oracle"}),
+    "colored_dyck_reduction": (
+        cli.counting, "count_colored_dyck", _plus_one,
+        {"colored_dyck_reduction", "colored_dyck_frame_sum"},
+    ),
+    "cardinality_oracle": (
+        cli.counting, "frame_cardinality", _plus_one,
+        {"cardinality_oracle", "cardinality_sum_catalan", "colored_dyck_frame_sum",
+         "colored_motzkin_frame_sum"},
+    ),
+    "decider_agreement": (cli.frames, "is_admissible_trace", _negated, {"decider_agreement"}),
+    "binomial_identity": (
+        cli.counting, "binomial_identity_check", _negated, {"binomial_identity"},
+    ),
+    "consequences_hold": (cli.frames, "consequences_hold", _negated, {"consequences_hold"}),
+    # The level-1 row of half-length 2 gains a path with no feet.  At
+    # --max-n 3 the foot-table route of k_motzkin_foot_table reads
+    # half-lengths up to 1 only, so the census check is the one to fail.
+    "foot_table_oracle": (
+        cli.counting.FootTable, "row",
+        lambda row: lambda table, n, level: tuple(
+            v + ((n, level, i) == (2, 1, 0)) for i, v in enumerate(row(table, n, level))
+        ),
+        {"foot_table_oracle"},
+    ),
 }
 
 
@@ -720,42 +761,6 @@ class TestVerify:
             "k_motzkin_foot_table",
         } <= names
 
-    @pytest.mark.parametrize(
-        "oracle, checks",
-        [
-            ("count_by_frames", {"colored_dyck_frame_sum", "colored_motzkin_frame_sum"}),
-            ("count_k_motzkin_by_feet", {"k_motzkin_foot_table"}),
-            ("count_motzkin", {"motzkin_oracle"}),
-            ("count_colored_dyck", {"colored_dyck_reduction", "colored_dyck_frame_sum"}),
-            ("frame_cardinality", {"cardinality_oracle", "cardinality_sum_catalan",
-                                   "colored_dyck_frame_sum", "colored_motzkin_frame_sum"}),
-        ],
-    )
-    def test_route_checks_use_the_second_route(self, capsys, monkeypatch, oracle, checks):
-        # The paper's routes live in verify; the served counts in counting.
-        target = verify_module if hasattr(verify_module, oracle) else cli.counting
-        original = getattr(target, oracle)
-        monkeypatch.setattr(target, oracle, lambda *a, **kw: original(*a, **kw) + 1)
-        code, out = run(capsys, "verify", "--max-n", "3", "--format", "json")
-        assert code == 1
-        assert {c["name"] for c in json.loads(out)["checks"] if not c["pass"]} == checks
-
-    @pytest.mark.parametrize(
-        "module, name, check",
-        [
-            ("frames", "is_admissible_trace", "decider_agreement"),
-            ("counting", "binomial_identity_check", "binomial_identity"),
-            ("frames", "consequences_hold", "consequences_hold"),
-        ],
-    )
-    def test_fact_checks_catch_a_fault(self, capsys, monkeypatch, module, name, check):
-        target = getattr(cli, module)
-        original = getattr(target, name)
-        monkeypatch.setattr(target, name, lambda *a: not original(*a))
-        code, out = run(capsys, "verify", "--max-n", "3", "--format", "json")
-        assert code == 1
-        assert {c["name"] for c in json.loads(out)["checks"] if not c["pass"]} == {check}
-
     @pytest.mark.parametrize("check", ROUTE_FAULTS)
     def test_a_fault_in_one_route_fails_its_check(self, capsys, monkeypatch, check):
         target, name, fault, checks = ROUTE_FAULTS[check]
@@ -763,23 +768,6 @@ class TestVerify:
         code, out = run(capsys, "verify", "--max-n", "3", "--format", "json")
         assert code == 1
         assert {c["name"] for c in json.loads(out)["checks"] if not c["pass"]} == checks
-
-    def test_foot_table_fault_fails_the_census_check(self, capsys, monkeypatch):
-        original = cli.counting.FootTable.row
-
-        def faulty(table, half_length, level):
-            row = original(table, half_length, level)
-            if (half_length, level) == (2, 1):
-                return (row[0] + 1, *row[1:])
-            return row
-
-        monkeypatch.setattr(cli.counting.FootTable, "row", faulty)
-        code, out = run(capsys, "verify", "--max-n", "3", "--format", "json")
-        assert code == 1
-        failed = {c["name"] for c in json.loads(out)["checks"] if not c["pass"]}
-        # At --max-n 3 the foot-table route of k_motzkin_foot_table reads
-        # half-lengths up to 1 only, so the census check is the one to fail.
-        assert failed == {"foot_table_oracle"}
 
     def test_colored_reduction_does_not_read_the_dp_twice(self, monkeypatch):
         original = cli.counting.count_colored_motzkin
@@ -1173,45 +1161,157 @@ def reference():
     return module
 
 
+def _flat_levels(word: str) -> set[int]:
+    """The levels of the flat steps of a path word."""
+    level, found = 0, set()
+    for ch in word:
+        if ch == "H":
+            found.add(level)
+        level += {"U": 1, "D": -1}.get(ch, 0)
+    return found
+
+
+def _reference_frame_text(ref, half_lengths):
+    """The counts of a frame the reference's walk reaches at one of
+    half_lengths, or random counts, which are rarely a frame; as text,
+    at times with a trailing zero."""
+    known = half_lengths.flatmap(
+        lambda m: st.sampled_from(sorted({ref.frame_of(w) for w in ref.words(2 * m)}))
+    )
+    counts = known | st.lists(st.integers(0, 4), min_size=1, max_size=4)
+    return st.tuples(counts.map(_entries), st.sampled_from(["", ",0"])).map("".join)
+
+
+def _trimmed(ref, text: str) -> tuple[int, ...]:
+    return ref.trim(int(v) for v in text.split(","))
+
+
 @st.composite
-def modelled_argv(draw) -> tuple[list[str], str, tuple]:
-    """A count or feet-table argv small enough for the reference, with the
-    reference function and arguments that give its csv value."""
-    kind = draw(st.sampled_from(["dyck", "motzkin", "k-motzkin", "feet-table"]))
-    if kind == "feet-table":
+def modelled_argv(draw, ref) -> tuple[list[str], int, dict, list[list], list[str] | None]:
+    """An argv of count, feet-table, enumerate or frame small enough for
+    the reference ref, with what ref says it gives: the exit code, and
+    for exit 0 the json document, the csv rows and the table lines (None
+    when they are the csv rows).  Other codes print nothing on stdout."""
+    command = draw(st.sampled_from(["enumerate", "frame", "count", "feet-table", "over-cap"]))
+    if command == "over-cap":  # refused before any work, without --allow-large
+        catalan_cap = cli.counting.CATALAN_CAP
+        argv = draw(st.sampled_from([
+            ["enumerate", "dyck", "--n", str(paths_module.DYCK_ENUMERATION_CAP + 1)],
+            ["enumerate", "motzkin", "--n", str(paths_module.MOTZKIN_ENUMERATION_CAP + 1)],
+            ["count", "dyck", "--n", str(catalan_cap + 1)],
+            # frame (c + 2, c + 1) is admissible, of half-length c + 1
+            ["frame", f"{catalan_cap + 2},{catalan_cap + 1}"],
+        ]))
+        return argv, cli.EXIT_RESOURCE_LIMIT, {}, [], None
+    if command == "feet-table":
         top, level = draw(st.integers(0, 8)), draw(st.integers(0, 5))
-        return ["feet-table", "--max", str(top), "--level", str(level)], "feet_table_csv", (top, level)
-    n = draw(st.integers(0, 9))
+        columns = list(range(int(level == 0), max(top, 6) + 1))
+        rows = [[row.get(j, 0) for j in columns] for row in ref.foot_rows(top, level)]
+        doc = {"command": command, "level": level, "max_half_length": top, "feet": columns,
+               "rows": [{"steps": 2 * n, "counts": row} for n, row in enumerate(rows)]}
+        table = [" ".join(["steps", *(f"{j}-ped" for j in columns)])]
+        table += [f"{2 * n} {' '.join(map(str, row))}" for n, row in enumerate(rows)]
+        return ["feet-table", "--max", str(top), "--level", str(level)], 0, doc, rows, table
+    if command == "frame":
+        text = draw(_reference_frame_text(ref, st.integers(0, 7)))
+        counts = _trimmed(ref, text)
+        members = ref.frame_class(counts)
+        doc = {"command": command, "input": text, "admissible": bool(members)}
+        if not members:
+            return ["frame", text], 0, doc, [[0]], ["admissible false"]
+        canonical = ref.canonical(members)
+        ups = ref.up_steps(canonical)
+        doc.update(frame=list(counts), length=sum(counts) - 1, degree=len(counts) - 1,
+                   cardinality=len(members), canonical=canonical, up_steps=ups)
+        row = [1, doc["length"], doc["degree"], len(members), canonical, *ups]
+        table = [f"{key} {doc[key]}" for key in ("length", "degree", "cardinality")]
+        table = ["admissible true", f"frame {_entries(counts)}", *table,
+                 f"canonical {canonical or '(null path)'}",
+                 f"up_steps {' '.join(map(str, ups)) or '-'}"]
+        return ["frame", text], 0, doc, [row], table
+    if command == "enumerate":
+        kind, n = draw(st.sampled_from(["dyck", "motzkin"])), draw(st.integers(0, 7))
+        argv = ["enumerate", kind, "--n", str(n)]
+        doc = {"command": command, "kind": kind, "n": n}
+        if kind == "motzkin":
+            words = ref.words(n, flats=True)
+            if draw(st.booleans()):
+                doc["k"] = k = draw(st.integers(0, 4))
+                argv += ["--k", str(k)]
+                words = [w for w in words if _flat_levels(w) <= {k}]
+        else:
+            words = ref.words(2 * n)
+            if draw(st.booleans()):
+                text = draw(_reference_frame_text(ref, st.just(n) | st.integers(0, 7)))
+                doc["frame"] = list(_trimmed(ref, text))
+                argv += ["--frame", text]
+                words = [w for w in words if list(ref.frame_of(w)) == doc["frame"]]
+        if kind == "dyck" and draw(st.booleans()):
+            argv.append("--with-frame")
+            doc.update(count=len(words),
+                       paths=[{"path": w, "frame": list(ref.frame_of(w))} for w in words])
+            return argv, 0, doc, [[w, *ref.frame_of(w)] for w in words], None
+        doc.update(count=len(words), paths=words)
+        return argv, 0, doc, [[w] for w in words], None
+    kind, n = draw(st.sampled_from(["dyck", "motzkin", "k-motzkin"])), draw(st.integers(0, 9))
     argv = ["count", kind, "--n", str(n)]
+    doc = {"command": command, "kind": kind, "n": n}
     if kind == "k-motzkin":
-        k, r = draw(st.integers(0, 5)), draw(st.integers(1, 4))
+        doc["k"] = k = draw(st.integers(0, 5))
+        r = draw(st.integers(1, 4))
         argv += ["--k", str(k)]
         if r != 1 or draw(st.booleans()):
             argv += ["--colors-h", str(r)]
-        return argv, "count_k_motzkin", (n, k, r)
+        if r != 1:
+            doc["colors"] = {"h": r}
+        doc["count"] = ref.count_k_motzkin(n, k, r)
+        return argv, 0, doc, [[doc["count"]]], None
     levels = n if kind == "dyck" else n // 2
-    vecs = []
+    colors = {}
     for key in "hud" if kind == "motzkin" else "ud":
         size = levels + (key == "h")
-        vec = [1] * size  # a flag left out is all ones
+        colors[key] = [1] * size  # a flag left out is all ones
         if draw(st.booleans()):
-            vec = draw(st.lists(st.integers(0, 3), min_size=max(size, 1), max_size=size + 2))
-            argv += [f"--colors-{key}", _entries(vec)]
-        vecs.append(vec)
+            colors[key] = draw(
+                st.lists(st.integers(0, 3), min_size=max(size, 1), max_size=size + 2)
+            )
+            argv += [f"--colors-{key}", _entries(colors[key])]
+    if kind == "dyck" and draw(st.booleans()):  # --k is for k-motzkin only
+        return [*argv, "--k", "1"], cli.EXIT_USAGE, {}, [], None
+    if len(argv) > 4:
+        doc["colors"] = colors
     if kind == "motzkin":
-        return argv, "count_motzkin", (n, *vecs)
-    return (argv, "count_dyck", (n, *vecs)) if len(argv) > 4 else (argv, "catalan", (n,))
+        doc["count"] = ref.count_motzkin(n, colors["h"], colors["u"], colors["d"])
+    elif "colors" in doc:
+        doc["count"] = ref.count_dyck(n, colors["u"], colors["d"])
+    else:
+        doc["count"] = ref.catalan(n)
+    return argv, 0, doc, [[doc["count"]]], None
 
 
-@given(modelled_argv())
+def _cells(text: str) -> list[list[str]]:
+    return [line.split() for line in text.splitlines()]
+
+
+@given(st.data())
 @settings(max_examples=200, deadline=None)
-def test_counts_match_the_reference(reference, case):
-    # The reference's own DP and foot rows model the csv stdout byte for
-    # byte; test_fuzzed_argv_exits_cleanly checks only the exit code.
-    argv, name, args = case
-    expected = getattr(reference, name)(*args)
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main([*argv, "--format", "csv"])
-    assert (code, err.getvalue()) == (0, "")
-    assert out.getvalue() == (expected if name == "feet_table_csv" else f"{expected}\n")
+def test_counts_match_the_reference(reference, data):
+    # The reference's DP, walks and foot rows model stdout in every format
+    # (csv as bytes, json as the parsed document, table as cells) and the
+    # exit code; test_fuzzed_argv_exits_cleanly checks only the exit code.
+    argv, code, doc, rows, table = data.draw(modelled_argv(reference))
+    table = table or [" ".join(map(str, row)) for row in rows]
+    expected = {
+        "csv": "".join(",".join(map(str, row)) + "\n" for row in rows),
+        "json": doc,
+        "table": [line.split() for line in table],
+    }
+    read = {"csv": str, "json": json.loads, "table": _cells}
+    for fmt in cli.FORMATS:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert main([*argv, "--format", fmt]) == code, fmt
+        if code:
+            assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        else:
+            assert (read[fmt](out.getvalue()), err.getvalue()) == (expected[fmt], "")

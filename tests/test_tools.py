@@ -6,6 +6,7 @@ exist, and every name the traced bench wraps is where it looks."""
 from __future__ import annotations
 
 import ast
+import functools
 import importlib
 import importlib.util
 from collections import Counter
@@ -43,7 +44,8 @@ class TestMutationList:
         assert mutate.locate([absent, repeated]) == ({}, ["absent", "repeated"])
 
 
-def _defined(path: Path) -> set[tuple[str, ...]]:
+@functools.cache  # one parse per test file, not per id
+def _defined(path: Path) -> frozenset[tuple[str, ...]]:
     """Every module-level class and function of a test file, and every
     method of its classes as ("TestX", "test_y"), read from its ast."""
     found: set[tuple[str, ...]] = set()
@@ -52,7 +54,7 @@ def _defined(path: Path) -> set[tuple[str, ...]]:
             found.add((node.name,))
         if isinstance(node, ast.ClassDef):
             found.update((node.name, f.name) for f in node.body if isinstance(f, ast.FunctionDef))
-    return found
+    return frozenset(found)
 
 
 def _names_a_test(node_id: str) -> bool:

@@ -165,8 +165,7 @@ def _fresh_python(probe: str) -> str:
 # then on each command.  A lazy module (frames, paths) is in sys.modules
 # from the start as an instance of a subclass of ModuleType, and becomes a
 # plain module once its code has run, so the probe reads the exact type.
-SERVING = ["dyckframes", "dyckframes.cli", "dyckframes.counting", "dyckframes.errors",
-           "dyckframes.values"]
+SERVING = ["dyckframes", "dyckframes.cli", "dyckframes.counting", "dyckframes.errors"]
 EVERY_LAYER = sorted([*SERVING, "dyckframes.frames", "dyckframes.paths"])
 EXECUTED = {
     "import": (None, SERVING),

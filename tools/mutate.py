@@ -46,8 +46,7 @@ ADMISSIBILITY = "tests/test_frames.py::TestAdmissibility"
 SIZES = "tests/test_sizes.py::test_bad_size_names_its_argument"
 SIZE_DIGITS = "tests/test_sizes.py::test_size_flags_take_ascii_digits_only"
 VERIFY = "tests/test_cli.py::TestVerify"
-FACT_FAULTS = f"{VERIFY}::test_fact_checks_catch_a_fault"
-ROUTE_FAULTS = f"{VERIFY}::test_route_checks_use_the_second_route"
+ROUTE_FAULTS = f"{VERIFY}::test_a_fault_in_one_route_fails_its_check"
 WALKER = "tests/test_paths.py::TestWalker"
 WRAPPED = f"{WALKER}::test_enumerators_wrap_the_words_in_paths"
 PATHS_BUILT = f"{ENUMERATE_CLI}::test_paths_only_built_for_frame_rows"
@@ -551,6 +550,18 @@ MUTATIONS = (
         ("tests/test_cli.py::test_counts_match_the_reference",),
     ),
     Mutation(
+        "count json colors cut to the entries the count reads",
+        "{key: list(vec) for key, vec in named}",
+        '{key: list(vec[: levels + (key == "h")]) for key, vec in named}',
+        ("tests/test_cli.py::test_counts_match_the_reference",),
+    ),
+    Mutation(
+        "enumerate --frame keeps trailing zeros",
+        "wanted = frames.parse_frame_text(args.frame) if",
+        'wanted = parse_counts(args.frame, "frame entry", "--frame") if',
+        ("tests/test_cli.py::test_counts_match_the_reference",),
+    ),
+    Mutation(
         "count dyck takes horizontal colors",
         '        if args.colors_h is not None:\n'
         '            raise ValueError("horizontal colors do not apply to kind dyck")\n',
@@ -691,13 +702,13 @@ MUTATIONS = (
         "decider agreement compares the trace decider with itself",
         "map(closed, batch)",
         "map(trace, batch)",
-        (FACT_FAULTS,),
+        (ROUTE_FAULTS,),
     ),
     Mutation(
         "binomial identity check compares the fact with itself",
         "(counting.binomial_identity_check(m, parts), True)",
         "(True, True)",
-        (FACT_FAULTS,),
+        (ROUTE_FAULTS,),
     ),
     Mutation(
         "decider sweep tail table reads the wrong remainder",

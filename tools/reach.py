@@ -21,7 +21,7 @@ Tracing slows the package several times over, so the tests in UNTRACED,
 whose wall-clock bounds cannot hold under it, are left out of the traced
 run and run in a second pytest run without the tracer.  Both exit codes
 are printed, and either run failing makes the exit code 1 too.  The
-whole run took 1 min 5 s on a 2-vCPU Intel Xeon VM.  Standard library
+whole run took 1 min 2 s on a 2-vCPU Intel Xeon VM.  Standard library
 and pytest only; not part of the tier-1 suite.
 """
 
