@@ -138,25 +138,6 @@ def test_main_checks_every_size_flag_before_the_handler(capsys, monkeypatch, arg
     assert captured.err == f"error: {flag} must be nonnegative\n"
 
 
-@pytest.mark.parametrize(
-    "argv, flag",
-    [
-        (["count", "dyck", "--n", "\u0661\u0662"], "--n"),
-        (["count", "dyck", "--n", "1_2"], "--n"),
-        (["count", "dyck", "--n", "+3"], "--n"),
-        (["feet-table", "--max", "x"], "--max"),
-    ],
-    ids=["arabic-indic", "underscore", "plus", "letter"],
-)
-def test_size_flags_take_ascii_digits_only(capsys, argv, flag):
-    # Frame entries and color counts are read by the same rule.
-    assert main(argv) == cli.EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert flag in captured.err
-
-
 def test_size_past_the_int_digit_limit_meets_its_cap(capsys):
     assert main(["count", "dyck", "--n", "9" * 5000]) == cli.EXIT_RESOURCE_LIMIT
     captured = capsys.readouterr()

@@ -44,13 +44,12 @@ ENUMERATE_CLI = "tests/test_cli.py::TestEnumerate"
 HARNESS_CLI = "tests/test_cli.py::TestHarness::test_every_cap_lifts_by_flag"
 ADMISSIBILITY = "tests/test_frames.py::TestAdmissibility"
 SIZES = "tests/test_sizes.py::test_bad_size_names_its_argument"
-SIZE_DIGITS = "tests/test_sizes.py::test_size_flags_take_ascii_digits_only"
 VERIFY = "tests/test_cli.py::TestVerify"
 ROUTE_FAULTS = f"{VERIFY}::test_a_fault_in_one_route_fails_its_check"
 WALKER = "tests/test_paths.py::TestWalker"
 WRAPPED = f"{WALKER}::test_enumerators_wrap_the_words_in_paths"
 PATHS_BUILT = f"{ENUMERATE_CLI}::test_paths_only_built_for_frame_rows"
-NOT_APPLICABLE = "tests/test_cli.py::TestHarness::test_flags_that_do_not_apply_are_usage_errors"
+REFUSED = "tests/test_cli.py::test_refused_argv_prints_one_error_line"
 SIZE_FLAGS = '("n", "k", "max", "level", "max_n")'  # the flags cli.main checks
 # The frame-class walker's two pushes; the last one pushed pops first.
 _PUSH_D = """\
@@ -63,6 +62,33 @@ _PUSH_U = """\
             stack.append((prefix + "U", level + 1, rest))
 """
 _D_THEN_U, _U_THEN_D = _PUSH_D + _PUSH_U, _PUSH_U + _PUSH_D
+# Usage checks of cli that come in pairs, each pair in its order there.
+_K_ONLY = """\
+    if args.kind != "k-motzkin" and args.k is not None:
+        raise ValueError("--k only applies to kind k-motzkin")
+"""
+_NO_COLORS_H = """\
+    steps = args.n
+    if args.kind == "dyck":
+        if args.colors_h is not None:
+            raise ValueError("horizontal colors do not apply to kind dyck")
+"""
+_NEEDS_K = """\
+        if args.k is None:
+            raise ValueError("kind k-motzkin requires --k")
+"""
+_NO_UP_DOWN = """\
+        if args.colors_u is not None or args.colors_d is not None:
+            raise ValueError("up/down colors do not apply to kind k-motzkin")
+"""
+_NO_FRAME = """\
+        if args.frame is not None:
+            raise ValueError("--frame filtering only applies to kind dyck")
+"""
+_NO_WITH_FRAME = """\
+        if args.with_frame:
+            raise ValueError("--with-frame only applies to kind dyck")
+"""
 
 MUTATIONS = (
     Mutation(
@@ -147,13 +173,13 @@ MUTATIONS = (
         "empty color vector read as absent",
         "if text is None:",
         "if not text:",
-        ("tests/test_cli.py::TestCount",),
+        (REFUSED,),
     ),
     Mutation(
         "enumerate accepts a negative --k",
         SIZE_FLAGS,
         '("n", "max", "level", "max_n")',
-        (ENUMERATE_CLI,),
+        (REFUSED,),
     ),
     Mutation(
         "main drops --n from its flags",
@@ -189,19 +215,19 @@ MUTATIONS = (
         "transfer charge ignores the weight width",
         "max(1, -(-widest // 64))",
         "1",
-        ("tests/test_cli.py::TestCount",),
+        ("tests/test_cli.py::TestCount", REFUSED),
     ),
     Mutation(
         "frame and color entries accept any Unicode digit",
         "if not (piece.isascii() and piece.isdigit()):",
         "if not piece.isdigit():",
-        ("tests/test_cli.py::TestCount::test_non_ascii_digits_are_usage_errors", SIZE_DIGITS),
+        (REFUSED,),
     ),
     Mutation(
         "a size flag is read with int",
         'parse_count(text.removeprefix("-"), "size", name)',
         'int(text.removeprefix("-"))',
-        (SIZE_DIGITS,),
+        (REFUSED,),
     ),
     Mutation(
         "unchecked values carry an empty field tuple",
@@ -226,13 +252,13 @@ MUTATIONS = (
         "count builds the color vectors with no cell bound first",
         '    refuse_over(what, counting.transfer_cells(steps), cap, "DP cell words")\n',
         "",
-        ("tests/test_cli.py::TestCount::test_over_bound_is_refused_up_front",),
+        (REFUSED,),
     ),
     Mutation(
         "sizes too large to represent end in a traceback",
         "except (OverflowError, MemoryError) as exc:",
         "except () as exc:",
-        ("tests/test_cli.py::TestHarness::test_sizes_too_large_to_represent_are_resource_limits",),
+        (REFUSED,),
     ),
     Mutation(
         "csv rows gathered into a list before printing",
@@ -274,6 +300,12 @@ MUTATIONS = (
         "enumerate skips the closed-form cross-check",
         "if shown != total:",
         "if False:",
+        ("tests/test_cli.py::TestEnumerate::test_closed_form_cross_check",),
+    ),
+    Mutation(
+        "enumerate's exit-1 line swaps the printed and closed-form counts",
+        'printed {shown} paths, "\n            f"but the closed form counts {total}"',
+        'printed {total} paths, "\n            f"but the closed form counts {shown}"',
         ("tests/test_cli.py::TestEnumerate::test_closed_form_cross_check",),
     ),
     Mutation(
@@ -566,21 +598,46 @@ MUTATIONS = (
         '        if args.colors_h is not None:\n'
         '            raise ValueError("horizontal colors do not apply to kind dyck")\n',
         "",
-        (NOT_APPLICABLE,),
+        (REFUSED,),
     ),
     Mutation(
         "k-motzkin takes no horizontal colors",
         '            if r < 1:\n'
         '                raise ValueError("horizontal color count must be at least 1")\n',
         "",
-        (NOT_APPLICABLE,),
+        (REFUSED,),
     ),
     Mutation(
         "enumerate dyck takes --k",
         '        if args.k is not None:\n'
         '            raise ValueError("--k only applies to kind motzkin")\n',
         "",
-        (NOT_APPLICABLE,),
+        (REFUSED,),
+    ),
+    Mutation(
+        "count's --k error names kind motzkin",
+        '"--k only applies to kind k-motzkin"',
+        '"--k only applies to kind motzkin"',
+        (REFUSED,),
+    ),
+    # Each pair of checks swapped; a row of REFUSED breaks both rules.
+    Mutation(
+        "count dyck checks horizontal colors before --k",
+        _K_ONLY + _NO_COLORS_H,
+        _NO_COLORS_H + _K_ONLY + '    if args.kind == "dyck":\n',  # the dyck branch goes on
+        (REFUSED,),
+    ),
+    Mutation(
+        "count k-motzkin checks up/down colors before --k",
+        _NEEDS_K + _NO_UP_DOWN,
+        _NO_UP_DOWN + _NEEDS_K,
+        (REFUSED,),
+    ),
+    Mutation(
+        "enumerate motzkin checks --with-frame before --frame",
+        _NO_FRAME + _NO_WITH_FRAME,
+        _NO_WITH_FRAME + _NO_FRAME,
+        (REFUSED,),
     ),
     Mutation(
         "require_size refuses 0",
