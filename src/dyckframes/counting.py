@@ -328,21 +328,29 @@ def _spread(m: int, columns: list[list[int]]) -> int:
     the product of columns[i][a[i]].
 
     The products are built as a tree: one bin at a time, each node
-    carries (product so far, items left), and the last bin takes what is
-    left.  Nodes with equal items left are never merged, so every
-    composition is one product in the sum.  The tree is walked depth
-    first in batches of at most _SPREAD_BATCH nodes, so memory grows
-    with the bins and m, not with the number of compositions.
+    carries (product so far, items left), and a node at the second-to-
+    last bin takes its last two bins in one step, summing each split of
+    what is left between them.  Nodes with equal items left are never
+    merged, so every composition is one product in the sum.  The tree is
+    walked depth first in batches of at most _SPREAD_BATCH nodes, so
+    memory grows with the bins and m, not with the number of
+    compositions.
     """
     if not columns:
         return int(m == 0)
-    *inner, last = columns
+    if len(columns) == 1:
+        return columns[0][m]
+    *inner, before, last = columns
     total = 0
     stack = [(0, [(1, m)])]
     while stack:
         depth, nodes = stack.pop()
         if depth == len(inner):
-            total += sum(product * last[left] for product, left in nodes)
+            total += sum(
+                product * before[a] * last[left - a]
+                for product, left in nodes
+                for a in range(left + 1)
+            )
             continue
         column = inner[depth]
         grown = [(product * column[a], left - a) for product, left in nodes for a in range(left + 1)]

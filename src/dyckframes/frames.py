@@ -141,22 +141,24 @@ def is_admissible_closed(seq: Sequence[int] | "Frame") -> bool:
     from level k are v0 = c0 - 1 and vk = ck - v(k-1).  The sequence is a
     frame exactly when every vk with k < f is at least 1 and vf is 0,
     that is cf == v(f-1).  Then every entry is at least 1, so negative
-    entries are rejected too.  Entries that are not numbers stop the sums
-    with TypeError, and other numbers can pass them, so an accepted
-    sequence has its entry types checked last.  This is
-    up_steps_per_level inlined, kept as a plain loop because the decider
-    is swept over millions of sequences.
+    entries are rejected too.  The loop tests each v(k-1) before it takes
+    ck, so it reads the entries in place, with no slice; the empty
+    sequence leaves the start's 1 and is refused.  Entries that are not
+    numbers stop the sums with TypeError, and other numbers can pass
+    them, so an accepted sequence has its entry types checked last.
+    This is up_steps_per_level inlined, kept as a plain loop because the
+    decider is swept over millions of sequences.
     """
     counts = trim(seq)
     ups = 1
     try:
-        for value in counts[:-1]:
-            ups = value - ups
+        for value in counts:
             if ups < 1:
                 return False
+            ups = value - ups
     except TypeError:
         return False
-    return bool(counts) and counts[-1] == ups and all(type(v) is int for v in counts)
+    return ups == 0 and all(type(v) is int for v in counts)
 
 
 class Frame(Frozen):

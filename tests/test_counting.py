@@ -489,6 +489,29 @@ class TestColoredMotzkin:
             ColorSpec(**{"h": (1, 1), "u": (1,), "d": (1,), vec: (0.5, 0.5)})
 
 
+class TestTransferDPAtItsCap:
+    """The transfer DP at the length TRANSFER_CELL_CAP admits, against
+    closed forms.  Its rows there reach level 999; every other test
+    passes with the rows cut at level 200."""
+
+    def test_motzkin_is_a_sum_over_its_flat_steps(self):
+        # A Motzkin path of length n is a Dyck path of length 2k with
+        # n - 2k flat steps among its steps.
+        n = 1999
+        catalans = (math.comb(2 * k, k) // (k + 1) for k in range(n // 2 + 1))
+        expected = sum(math.comb(n, 2 * k) * c for k, c in enumerate(catalans))
+        assert count_motzkin(n) == expected
+
+    def test_hermite_weights_count_perfect_matchings(self):
+        # With u_k = k + 1, a fall from level k + 1 closes one of the k + 1
+        # open arcs, so the weighted Dyck paths of length 2m are the
+        # (2m - 1)!! perfect matchings of 2m points.
+        n = 1998
+        levels = n // 2
+        spec = ColorSpec(h=(0,) * (levels + 1), u=range(1, levels + 1), d=(1,) * levels)
+        assert count_colored_motzkin(n, spec) == math.prod(range(1, n, 2))
+
+
 class TestTransferCharge:
     def test_gap_product_sets_the_width(self):
         # u and d fit in 64 bits on their own; their product on gap 1 does not.

@@ -129,8 +129,20 @@ MUTATIONS = (
     ),
     Mutation(
         "closed decider final test loosened",
-        "return bool(counts) and counts[-1] == ups",
-        "return bool(counts) and counts[-1] >= ups",
+        "return ups == 0 and",
+        "return ups >= 0 and",
+        (ADMISSIBILITY,),
+    ),
+    Mutation(
+        "closed decider accepts a top entry short of the up steps below it",
+        "return ups == 0 and",
+        "return ups <= 0 and",
+        (ADMISSIBILITY,),
+    ),
+    Mutation(
+        "closed decider lets a level be left with no up step",
+        "            if ups < 1:\n                return False\n            ups = value - ups",
+        "            if ups < 0:\n                return False\n            ups = value - ups",
         (ADMISSIBILITY,),
     ),
     Mutation(
@@ -156,6 +168,12 @@ MUTATIONS = (
         "fall = islice(row, 1, None)",
         "fall = islice(row, 2, None)",
         ("tests/test_counting.py::TestMotzkin",),
+    ),
+    Mutation(
+        "transfer DP cuts every row at level 200",
+        "top = min(step, steps - step)",
+        "top = min(step, steps - step, 200)",
+        ("tests/test_counting.py::TestTransferDPAtItsCap",),
     ),
     Mutation(
         "int digit limit not restored",
@@ -450,8 +468,8 @@ MUTATIONS = (
     # Frame checks entry types only through the closed decider.
     Mutation(
         "public Frame constructor takes non-int entries",
-        "counts[-1] == ups and all(type(v) is int for v in counts)",
-        "counts[-1] == ups",
+        "ups == 0 and all(type(v) is int for v in counts)",
+        "ups == 0",
         ("tests/test_frames.py::TestFrameType",),
     ),
     Mutation(
@@ -461,9 +479,21 @@ MUTATIONS = (
         ("tests/test_counting.py::TestBinomialIdentity",),
     ),
     Mutation(
+        "composition tree's one bin reads the wrong entry",
+        "return columns[0][m]",
+        "return columns[0][0]",
+        ("tests/test_counting.py::TestBinomialIdentity",),
+    ),
+    Mutation(
+        "composition tree's last two bins split one item short",
+        "for a in range(left + 1)\n            )",
+        "for a in range(left)\n            )",
+        ("tests/test_counting.py::TestBinomialIdentity",),
+    ),
+    Mutation(
         "composition tree's last bin reads one item short",
-        "product * last[left]",
-        "product * last[left - 1]",
+        "product * before[a] * last[left - a]",
+        "product * before[a] * last[left - a - 1]",
         ("tests/test_counting.py::TestBinomialIdentity",),
     ),
     Mutation(
@@ -499,8 +529,8 @@ MUTATIONS = (
     ),
     Mutation(
         "closed decider accepts non-int entries",
-        "counts[-1] == ups and all(type(v) is int for v in counts)",
-        "counts[-1] == ups",
+        "ups == 0 and all(type(v) is int for v in counts)",
+        "ups == 0",
         (ADMISSIBILITY,),
     ),
     Mutation(
@@ -523,8 +553,8 @@ MUTATIONS = (
     ),
     Mutation(
         "closed decider lets an entry that is not a number escape as TypeError",
-        "    except TypeError:\n        return False\n    return bool(counts)",
-        "    except ():\n        return False\n    return bool(counts)",
+        "    except TypeError:\n        return False\n    return ups == 0",
+        "    except ():\n        return False\n    return ups == 0",
         (ADMISSIBILITY,),
     ),
     Mutation(
